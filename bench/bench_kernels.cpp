@@ -1,7 +1,9 @@
 // Kernel-engine benchmark: per-kernel throughput of every compiled-and-
 // runnable Vec backend (scalar, sse2, avx2, avx512) on the hot-path kernels
-// from src/tensor/vec.hpp, plus a composite GEMM row driven through
-// Matrix::matmul_acc with the backend pinned.
+// from src/tensor/vec.hpp, plus GEMM rows driven through the matmul family
+// with the backend pinned: a square composite and the GNN shapes the trainer
+// runs. The exit code fails if any GEMM row's bytes differ from the
+// axpy_f32 / dot_f32 chain it replaces.
 //
 // All kernel calls go through the VecKernels function-pointer table, so the
 // compiler cannot inline or dead-code-eliminate the work being timed.
@@ -17,6 +19,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.hpp"
@@ -25,6 +28,10 @@
 #include "util/flags.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
+
+#ifndef SPLPG_BUILD_TYPE
+#define SPLPG_BUILD_TYPE "unknown"
+#endif
 
 namespace {
 
@@ -92,6 +99,7 @@ int main(int argc, char** argv) {
   const auto n = static_cast<std::size_t>(flags.get_int("size"));
   const auto total = static_cast<std::uint64_t>(flags.get_int("total-elements"));
   const auto gemm_dim = static_cast<std::size_t>(flags.get_int("gemm"));
+  const unsigned hardware = std::max(1U, std::thread::hardware_concurrency());
   const auto repeats = static_cast<int>(flags.get_int("repeats"));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   const std::size_t iters = std::max<std::size_t>(1, total / std::max<std::size_t>(1, n));
@@ -164,8 +172,9 @@ int main(int argc, char** argv) {
 
   bench::print_title("VEC KERNEL ENGINE — PER-BACKEND THROUGHPUT",
                      "scalar vs SIMD on the tensor hot-path kernels");
-  std::printf("size=%zu iters/call=%zu repeats=%d best=%s\n\n", n, iters, repeats,
-              tensor::vec_backend_name(tensor::vec_best_backend()));
+  std::printf("size=%zu iters/call=%zu repeats=%d best=%s hardware_concurrency=%u build=%s\n\n",
+              n, iters, repeats, tensor::vec_backend_name(tensor::vec_best_backend()), hardware,
+              SPLPG_BUILD_TYPE);
 
   // results[backend][kernel]
   std::vector<std::vector<KernelResult>> results(backends.size());
@@ -182,86 +191,150 @@ int main(int argc, char** argv) {
     }
   }
 
-  // GEMM composite: Matrix::matmul_acc through the pinned active backend.
-  std::vector<KernelResult> gemm_results;
+  // GEMM rows: the matmul family through the pinned active backend — the
+  // square composite plus the GNN shapes (4096-row mini-batch, 1470/500-dim
+  // features, hidden 64) the trainer spends its time in. Each shape is first
+  // checked byte-for-byte against the axpy/dot chain the tiled kernels
+  // replace, built from the same backend's table; a mismatch fails the exit
+  // code.
+  enum class GemmOp { kNn, kTn, kNt };
+  struct GemmCase {
+    std::string name;
+    GemmOp op;
+    std::size_t a_rows, a_cols, b_rows, b_cols;
+  };
+  std::vector<GemmCase> gemm_cases = {
+      {"matmul_acc 4096x1470->64", GemmOp::kNn, 4096, 1470, 1470, 64},
+      {"matmul_acc 4096x500->64", GemmOp::kNn, 4096, 500, 500, 64},
+      {"matmul_tn_acc 1470x4096->64", GemmOp::kTn, 4096, 1470, 4096, 64},
+      {"matmul_nt_acc 4096x64*(1470x64)^T", GemmOp::kNt, 4096, 64, 1470, 64},
+  };
   if (gemm_dim > 0) {
-    const VecBackend previous = tensor::vec_active_backend();
-    util::Rng gemm_rng(seed + 1);
-    tensor::Matrix a(gemm_dim, gemm_dim);
-    tensor::Matrix bmat(gemm_dim, gemm_dim);
-    tensor::Matrix c(gemm_dim, gemm_dim);
-    for (std::size_t r = 0; r < gemm_dim; ++r) {
-      for (std::size_t col = 0; col < gemm_dim; ++col) {
-        a.at(r, col) = static_cast<float>(gemm_rng.uniform()) - 0.5F;
-        bmat.at(r, col) = static_cast<float>(gemm_rng.uniform()) - 0.5F;
+    gemm_cases.insert(gemm_cases.begin(),
+                      {"matmul_f32", GemmOp::kNn, gemm_dim, gemm_dim, gemm_dim, gemm_dim});
+  }
+  const auto random_matrix = [](std::size_t rows, std::size_t cols, util::Rng& r) {
+    tensor::Matrix out(rows, cols);
+    for (float& x : out.data()) x = static_cast<float>(r.uniform()) - 0.5F;
+    return out;
+  };
+  const auto run_gemm = [](const GemmCase& gc, const tensor::Matrix& a, const tensor::Matrix& b,
+                           tensor::Matrix& c) {
+    switch (gc.op) {
+      case GemmOp::kNn: tensor::matmul_acc(a, b, c); break;
+      case GemmOp::kTn: tensor::matmul_tn_acc(a, b, c); break;
+      case GemmOp::kNt: tensor::matmul_nt_acc(a, b, c); break;
+    }
+  };
+  // The per-row chains matmul_acc / matmul_tn_acc / matmul_nt_acc ran before
+  // the register-tiled kernels.
+  const auto chain_gemm = [](const GemmCase& gc, const VecKernels& kern, const tensor::Matrix& a,
+                             const tensor::Matrix& b, tensor::Matrix& c) {
+    const bool skip_zero = tensor::kernels_assume_finite();
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      if (gc.op == GemmOp::kNt) {
+        for (std::size_t j = 0; j < b.rows(); ++j) {
+          c.at(i, j) += kern.dot_f32(a.row(i).data(), b.row(j).data(), a.cols());
+        }
+        continue;
+      }
+      for (std::size_t p = 0; p < a.cols(); ++p) {
+        const float alpha = a.at(i, p);
+        if (skip_zero && alpha == 0.0F) continue;
+        const bool tn = gc.op == GemmOp::kTn;
+        kern.axpy_f32(c.row(tn ? p : i).data(), b.row(tn ? i : p).data(), alpha, c.cols());
       }
     }
-    for (const VecBackend backend : backends) {
-      tensor::set_vec_backend(backend);
+  };
+
+  // gemm_results[backend][case]
+  std::vector<std::vector<KernelResult>> gemm_results(backends.size());
+  bool gemm_bytes_ok = true;
+  const VecBackend previous = tensor::vec_active_backend();
+  util::Rng gemm_rng(seed + 1);
+  for (const GemmCase& gc : gemm_cases) {
+    const tensor::Matrix a = random_matrix(gc.a_rows, gc.a_cols, gemm_rng);
+    const tensor::Matrix bmat = random_matrix(gc.b_rows, gc.b_cols, gemm_rng);
+    const std::size_t c_rows = gc.op == GemmOp::kTn ? gc.a_cols : gc.a_rows;
+    const std::size_t c_cols = gc.op == GemmOp::kNt ? gc.b_rows : gc.b_cols;
+    const tensor::Matrix c0 = random_matrix(c_rows, c_cols, gemm_rng);
+    for (std::size_t b = 0; b < backends.size(); ++b) {
+      tensor::set_vec_backend(backends[b]);
+      tensor::Matrix want = c0;
+      chain_gemm(gc, tensor::vec_kernels(), a, bmat, want);
+      tensor::Matrix got = c0;
+      run_gemm(gc, a, bmat, got);
+      if (std::memcmp(got.data().data(), want.data().data(), want.size() * sizeof(float)) != 0) {
+        std::printf("GATE FAIL: %s on %s differs from the axpy/dot chain\n", gc.name.c_str(),
+                    tensor::vec_backend_name(backends[b]));
+        gemm_bytes_ok = false;
+      }
       KernelResult r;
-      r.kernel = "matmul_f32";
-      r.elements = static_cast<std::uint64_t>(gemm_dim) * gemm_dim * gemm_dim;  // MACs
-      r.wall_seconds = time_best(repeats, [&] { tensor::matmul_acc(a, bmat, c); });
-      gemm_results.push_back(r);
+      r.kernel = gc.name;
+      r.elements = static_cast<std::uint64_t>(gc.a_rows) * gc.a_cols *
+                   (gc.op == GemmOp::kNt ? gc.b_rows : gc.b_cols);  // MACs
+      r.wall_seconds = time_best(repeats, [&] { run_gemm(gc, a, bmat, got); });
+      gemm_results[b].push_back(r);
     }
-    tensor::set_vec_backend(previous);
   }
+  tensor::set_vec_backend(previous);
 
   // Table: one row per kernel, one column pair per backend.
-  std::printf("%-18s", "kernel");
+  std::printf("%-34s", "kernel");
   for (const VecBackend backend : backends) {
     std::printf(" | %8s Ge/s %7s", tensor::vec_backend_name(backend), "speedup");
   }
   std::printf("\n");
   bench::print_rule();
-  const std::size_t kernel_count = std::size(kernels);
-  for (std::size_t k = 0; k < kernel_count + (gemm_results.empty() ? 0 : 1); ++k) {
-    const bool is_gemm = k == kernel_count;
-    const auto row = [&](std::size_t b) -> const KernelResult& {
-      return is_gemm ? gemm_results[b] : results[b][k];
-    };
-    std::printf("%-18s", row(0).kernel.c_str());
-    const double scalar_rate = row(0).gelems_per_second();
+  const auto row_of = [&](std::size_t b, std::size_t k) -> const KernelResult& {
+    return k < results[b].size() ? results[b][k] : gemm_results[b][k - results[b].size()];
+  };
+  const std::size_t row_count = std::size(kernels) + gemm_cases.size();
+  for (std::size_t k = 0; k < row_count; ++k) {
+    std::printf("%-34s", row_of(0, k).kernel.c_str());
+    const double scalar_rate = row_of(0, k).gelems_per_second();
     for (std::size_t b = 0; b < backends.size(); ++b) {
-      const double rate = row(b).gelems_per_second();
+      const double rate = row_of(b, k).gelems_per_second();
       std::printf(" | %13.3f %6.2fx", rate, scalar_rate > 0.0 ? rate / scalar_rate : 0.0);
     }
     std::printf("\n");
   }
   std::printf("\nExpected shape: wider backends win on streaming kernels (axpy, sigmoid);\n"
-              "reductions and the gather-bound spmv gain less. matmul_f32 counts MACs.\n"
-              "(sink=%g)\n", g_sink);
+              "reductions and the gather-bound spmv gain less. matmul rows count MACs.\n"
+              "GEMM bytes vs the axpy/dot chain: %s\n(sink=%g)\n",
+              gemm_bytes_ok ? "identical" : "DIFFERENT", g_sink);
 
   const std::string json_path = flags.get_string("json");
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     out << "{\n"
         << "  \"bench\": \"kernels\",\n"
+        << "  \"hardware_concurrency\": " << hardware << ",\n"
+        << "  \"build_type\": \"" << SPLPG_BUILD_TYPE << "\",\n"
         << "  \"size\": " << n << ",\n"
         << "  \"iters_per_call\": " << iters << ",\n"
         << "  \"gemm_dim\": " << gemm_dim << ",\n"
         << "  \"repeats\": " << repeats << ",\n"
         << "  \"best_backend\": \"" << tensor::vec_backend_name(tensor::vec_best_backend())
         << "\",\n"
+        << "  \"gates\": {\"gemm_bytes_match_chain\": " << (gemm_bytes_ok ? "true" : "false")
+        << "},\n"
         << "  \"sections\": {\n";
     for (std::size_t b = 0; b < backends.size(); ++b) {
       out << "    \"" << tensor::vec_backend_name(backends[b]) << "\": [\n";
-      std::vector<KernelResult> rows = results[b];
-      if (!gemm_results.empty()) rows.push_back(gemm_results[b]);
-      for (std::size_t k = 0; k < rows.size(); ++k) {
-        const double scalar_rate =
-            (k < results[0].size() ? results[0][k] : gemm_results[0]).gelems_per_second();
-        const double rate = rows[k].gelems_per_second();
-        out << "      {\"kernel\": \"" << rows[k].kernel << "\", \"elements\": "
-            << rows[k].elements << ", \"wall_seconds\": " << rows[k].wall_seconds
+      for (std::size_t k = 0; k < row_count; ++k) {
+        const double scalar_rate = row_of(0, k).gelems_per_second();
+        const double rate = row_of(b, k).gelems_per_second();
+        out << "      {\"kernel\": \"" << row_of(b, k).kernel << "\", \"elements\": "
+            << row_of(b, k).elements << ", \"wall_seconds\": " << row_of(b, k).wall_seconds
             << ", \"gelems_per_second\": " << rate << ", \"speedup_vs_scalar\": "
             << (scalar_rate > 0.0 ? rate / scalar_rate : 0.0) << "}"
-            << (k + 1 < rows.size() ? "," : "") << "\n";
+            << (k + 1 < row_count ? "," : "") << "\n";
       }
       out << "    ]" << (b + 1 < backends.size() ? "," : "") << "\n";
     }
     out << "  }\n}\n";
     std::printf("\nwrote %s\n", json_path.c_str());
   }
-  return 0;
+  return gemm_bytes_ok ? 0 : 1;
 }

@@ -26,7 +26,11 @@
 #   BENCH_kernels.json   bench_kernels — the Vec kernel engine: per-backend
 #                        (scalar/sse2/avx2/avx512, as supported by the host
 #                        CPU) throughput of every tensor hot-path kernel plus
-#                        a GEMM composite, with speedup-vs-scalar per kernel.
+#                        GEMM rows (a square composite and the GNN shapes
+#                        matmul_acc 4096x1470/500->64, matmul_tn_acc,
+#                        matmul_nt_acc), with speedup-vs-scalar per kernel.
+#                        The exit code enforces that every GEMM row's bytes
+#                        equal the axpy/dot chain the tiled kernels replace.
 #                        Override its flags via BENCH_KERNELS_FLAGS.
 #   BENCH_comm.json      bench_comm_regimes — communication-efficient
 #                        training regimes: sync-payload bytes/epoch, accuracy

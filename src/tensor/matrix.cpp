@@ -55,6 +55,31 @@ Matrix Matrix::transposed() const {
   return out;
 }
 
+namespace {
+
+/// C rows per scheduled GEMM task. The serial path runs the same blocks, and
+/// each C element's arithmetic lives inside one kernel call either way, so
+/// the block size and the pool width affect scheduling only, never bytes.
+constexpr std::size_t kRowBlock = 16;
+
+/// Runs block(first_row, rows) over [0, rows) in kRowBlock-row blocks, on
+/// the compute pool when `flops` pays for the fan-out.
+template <class Block>
+void for_row_blocks(std::size_t rows, std::size_t flops, const Block& block) {
+  const auto run = [&](std::size_t index) {
+    const std::size_t first = index * kRowBlock;
+    block(first, std::min(kRowBlock, rows - first));
+  };
+  const std::size_t blocks = (rows + kRowBlock - 1) / kRowBlock;
+  if (util::ThreadPool* pool = pool_for(flops)) {
+    pool->parallel_for(0, blocks, run);
+  } else {
+    for (std::size_t index = 0; index < blocks; ++index) run(index);
+  }
+}
+
+}  // namespace
+
 void matmul_acc(const Matrix& a, const Matrix& b, Matrix& c) {
   assert(a.cols() == b.rows());
   assert(c.rows() == a.rows() && c.cols() == b.cols());
@@ -65,21 +90,10 @@ void matmul_acc(const Matrix& a, const Matrix& b, Matrix& c) {
   // Skipping alpha == 0 exploits activation sparsity but masks NaN/Inf in
   // the skipped B row (IEEE says 0 * NaN = NaN); see vec.hpp for the flag.
   const bool skip_zero = kernels_assume_finite();
-  const auto run_row = [&](std::size_t i) {
-    const auto a_row = a.row(i);
-    const auto c_row = c.row(i);
-    for (std::size_t p = 0; p < k; ++p) {
-      const float alpha = a_row[p];
-      if (skip_zero && alpha == 0.0F) continue;
-      kern.axpy_f32(c_row.data(), b.row(p).data(), alpha, n);
-    }
-  };
-  // Each task owns disjoint rows of C; per-row work is untouched.
-  if (util::ThreadPool* pool = pool_for(sat_flops(m, k, n))) {
-    pool->parallel_for(0, m, run_row);
-  } else {
-    for (std::size_t i = 0; i < m; ++i) run_row(i);
-  }
+  for_row_blocks(m, sat_flops(m, k, n), [&](std::size_t first, std::size_t rows) {
+    kern.gemm_acc_f32(c.row(first).data(), n, a.row(first).data(), k, 1, b.data().data(), n,
+                      rows, k, n, skip_zero);
+  });
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
@@ -89,39 +103,20 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
 }
 
 void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c) {
-  // C(k x n) += A^T(k x m) * B(m x n): iterate rows of A and B together.
+  // C(k x n) += A^T(k x m) * B(m x n): C row p reads column p of A, so the
+  // kernel walks A with row stride 1 and reduction stride k.
   assert(a.rows() == b.rows());
   assert(c.rows() == a.cols() && c.cols() == b.cols());
   const std::size_t m = a.rows();
   const std::size_t k = a.cols();
   const std::size_t n = b.cols();
+  if (m == 0) return;  // no terms; an empty A has no column offsets to take
   const VecKernels& kern = vec_kernels();
   const bool skip_zero = kernels_assume_finite();
-  if (util::ThreadPool* pool = pool_for(sat_flops(m, k, n))) {
-    // Row i of A touches EVERY row of C, so the i-loop cannot be split.
-    // Parallelize over C rows instead: each task owns disjoint rows p, and
-    // for a fixed (p, j) the contributions a(i,p)*b(i,j) still accumulate in
-    // ascending i — the exact per-element order of the serial loop below —
-    // so the bytes are identical (within one backend).
-    pool->parallel_for(0, k, [&](std::size_t p) {
-      const auto c_row = c.row(p);
-      for (std::size_t i = 0; i < m; ++i) {
-        const float alpha = a.at(i, p);
-        if (skip_zero && alpha == 0.0F) continue;
-        kern.axpy_f32(c_row.data(), b.row(i).data(), alpha, n);
-      }
-    });
-    return;
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto a_row = a.row(i);
-    const auto b_row = b.row(i);
-    for (std::size_t p = 0; p < k; ++p) {
-      const float alpha = a_row[p];
-      if (skip_zero && alpha == 0.0F) continue;
-      kern.axpy_f32(c.row(p).data(), b_row.data(), alpha, n);
-    }
-  }
+  for_row_blocks(k, sat_flops(m, k, n), [&](std::size_t first, std::size_t rows) {
+    kern.gemm_acc_f32(c.row(first).data(), n, a.data().data() + first, 1, k, b.data().data(), n,
+                      rows, m, n, skip_zero);
+  });
 }
 
 Matrix matmul_tn(const Matrix& a, const Matrix& b) {
@@ -138,19 +133,11 @@ void matmul_nt_acc(const Matrix& a, const Matrix& b, Matrix& c) {
   const std::size_t k = a.cols();
   const std::size_t n = b.rows();
   const VecKernels& kern = vec_kernels();
-  const auto run_row = [&](std::size_t i) {
-    const auto a_row = a.row(i);
-    const auto c_row = c.row(i);
-    for (std::size_t j = 0; j < n; ++j) {
-      c_row[j] += kern.dot_f32(a_row.data(), b.row(j).data(), k);
+  for_row_blocks(m, sat_flops(m, k, n), [&](std::size_t first, std::size_t rows) {
+    for (std::size_t i = first; i < first + rows; ++i) {
+      kern.dots_acc_f32(c.row(i).data(), a.row(i).data(), b.data().data(), k, n, k);
     }
-  };
-  // Each task owns disjoint rows of C; per-row work is untouched.
-  if (util::ThreadPool* pool = pool_for(sat_flops(m, k, n))) {
-    pool->parallel_for(0, m, run_row);
-  } else {
-    for (std::size_t i = 0; i < m; ++i) run_row(i);
-  }
+  });
 }
 
 Matrix matmul_nt(const Matrix& a, const Matrix& b) {

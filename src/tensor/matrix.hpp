@@ -3,8 +3,8 @@
 //
 // Deliberately BLAS-free: the experiments compare training *methods*, not
 // kernels, and a self-contained implementation keeps the library dependency-
-// free. The GEMM uses an i-k-j loop order so the inner loop streams both B
-// and C rows (vectorizable by the compiler).
+// free. The GEMM family runs the Vec engine's register-tiled kernels
+// (vec.hpp) on 16-row blocks of C.
 #pragma once
 
 #include <cassert>

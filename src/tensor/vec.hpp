@@ -37,6 +37,12 @@
 //    + 1e-7 absolute).
 //  * sigmoid_grad/adam_step: identical operation sequence, no contraction —
 //    bit-identical on EVERY backend.
+//
+// GEMM family (gemm_acc_f32, dots_acc_f32): register-tiled, but per output
+// element the SAME operation sequence as the axpy_f32 / dot_f32 chain each
+// replaces — bit-identical to that chain on its own backend (hence to the
+// historical per-row GEMM loops), while the scalar-vs-SIMD bounds are the
+// axpy/dot bounds above, unchanged.
 #pragma once
 
 #include <atomic>
@@ -63,6 +69,17 @@ struct VecKernels {
   void (*axpy_f32)(float* dst, const float* src, float alpha, std::size_t n);
   /// sum_i a[i] * b[i]
   float (*dot_f32)(const float* a, const float* b, std::size_t n);
+  /// C[r][0..n) += sum_q A(r,q) * B[q][0..n) for r < rows, q ascending,
+  /// where A(r,q) = a[r*a_rs + q*a_cs], C rows are ldc apart and B rows ldb
+  /// apart. With skip_zero, a (r, q) term whose A(r,q) == 0 is skipped.
+  /// Per C row, bit-identical to the chain
+  /// `for q: if (!(skip_zero && A(r,q) == 0)) axpy_f32(C[r], B[q], A(r,q), n)`.
+  void (*gemm_acc_f32)(float* c, std::size_t ldc, const float* a, std::size_t a_rs,
+                       std::size_t a_cs, const float* b, std::size_t ldb, std::size_t rows,
+                       std::size_t k, std::size_t n, bool skip_zero);
+  /// c[j] += dot_f32(a, b + j*ldb, k) for j < n — bit-identical to that loop.
+  void (*dots_acc_f32)(float* c, const float* a, const float* b, std::size_t ldb, std::size_t n,
+                       std::size_t k);
 
   // ---- linear double kernels (sparse CSR solvers) ----
   /// dst[i] += alpha * src[i]

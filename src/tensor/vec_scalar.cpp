@@ -33,6 +33,23 @@ float dot_f32(const float* a, const float* b, std::size_t n) {
   return total;
 }
 
+void gemm_acc_f32(float* c, std::size_t ldc, const float* a, std::size_t a_rs, std::size_t a_cs,
+                  const float* b, std::size_t ldb, std::size_t rows, std::size_t k, std::size_t n,
+                  bool skip_zero) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t q = 0; q < k; ++q) {
+      const float alpha = a[r * a_rs + q * a_cs];
+      if (skip_zero && alpha == 0.0F) continue;
+      axpy_f32(c + r * ldc, b + q * ldb, alpha, n);
+    }
+  }
+}
+
+void dots_acc_f32(float* c, const float* a, const float* b, std::size_t ldb, std::size_t n,
+                  std::size_t k) {
+  for (std::size_t j = 0; j < n; ++j) c[j] += dot_f32(a, b + j * ldb, k);
+}
+
 void axpy_f64(double* dst, const double* src, double alpha, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] += alpha * src[i];
 }
@@ -109,6 +126,8 @@ const VecKernels kTable = {
     /*width_f64=*/1,
     &axpy_f32,
     &dot_f32,
+    &gemm_acc_f32,
+    &dots_acc_f32,
     &axpy_f64,
     &xpby_f64,
     &dot_f64,

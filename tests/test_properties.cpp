@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
@@ -30,6 +32,13 @@ struct GraphCase {
   NodeId nodes;
   graph::EdgeId edges_or_k;
 };
+
+// Without this, gtest prints GraphCase as raw bytes -- including the
+// std::string's data pointer -- so the discovered ctest names would change
+// from run to run.
+void PrintTo(const GraphCase& params, std::ostream* os) {
+  *os << params.generator << " nodes=" << params.nodes << " edges_or_k=" << params.edges_or_k;
+}
 
 class GraphInvariants : public ::testing::TestWithParam<GraphCase> {
  protected:

@@ -1,7 +1,8 @@
 // Kernel-engine tests: backend registry/dispatch, per-backend known-answer
 // checks, randomized scalar-vs-SIMD bound property tests (the documented
 // ULP bounds from vec.hpp), the bit-identical-on-every-backend kernels
-// (adam_step, sigmoid_grad, xpby, alpha=1 axpy), and a per-backend
+// (adam_step, sigmoid_grad, xpby, alpha=1 axpy), bitwise oracles pinning the
+// tiled GEMM kernels to the axpy/dot chains they replace, and a per-backend
 // end-to-end training determinism matrix across thread widths {1,2,4,7} x
 // pipeline depths {0,2}.
 #include <gtest/gtest.h>
@@ -101,6 +102,8 @@ TEST(VecBackendRegistry, SupportedTablesAreComplete) {
     EXPECT_GE(kern.width_f64, 1U);
     EXPECT_NE(kern.axpy_f32, nullptr);
     EXPECT_NE(kern.dot_f32, nullptr);
+    EXPECT_NE(kern.gemm_acc_f32, nullptr);
+    EXPECT_NE(kern.dots_acc_f32, nullptr);
     EXPECT_NE(kern.axpy_f64, nullptr);
     EXPECT_NE(kern.xpby_f64, nullptr);
     EXPECT_NE(kern.dot_f64, nullptr);
@@ -510,6 +513,103 @@ TEST(VecBitIdentity, SameBackendIsDeterministicCallToCall) {
     kern.sigmoid_f32(out1.data(), a.data(), n);
     kern.sigmoid_f32(out2.data(), a.data(), n);
     EXPECT_EQ(0, std::memcmp(out1.data(), out2.data(), n * sizeof(float))) << kern.name;
+  }
+}
+
+// ---- GEMM family: bitwise oracles against the axpy / dot chains ----
+//
+// The tiled kernels promise the chain's bytes, not just its values; the
+// GemmShapes tests in test_tensor.cpp compare within 1e-4 and would pass a
+// kernel that reassociates the sum. Widths straddle every vector and tile
+// boundary of the backend under test.
+
+std::vector<std::size_t> gemm_widths(std::size_t w) {
+  std::vector<std::size_t> out = {1, 7, w - 1, w, w + 1, 2 * w + 1, 63, 64, 65, 130, 1470};
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  if (out.front() == 0) out.erase(out.begin());  // w - 1 on the 1-lane scalar backend
+  return out;
+}
+
+/// About 30% exact zeros, the rest uniform in [-2, 2).
+std::vector<float> sparse_f32(std::size_t n, util::Rng& rng) {
+  std::vector<float> out = random_f32(n, rng, -2.0F, 2.0F);
+  for (float& x : out) {
+    if (rng.uniform() < 0.3) x = 0.0F;
+  }
+  return out;
+}
+
+TEST(VecBitIdentity, GemmAccMatchesAxpyChain) {
+  constexpr std::size_t kDepth = 5;   // reduction length
+  constexpr std::size_t kNanRow = 2;  // B row holding a NaN; its A column is all zero
+  util::Rng rng(151);
+  for (const VecBackend backend : supported_backends()) {
+    const VecKernels& kern = vec_kernels_for(backend);
+    for (const std::size_t n : gemm_widths(kern.width_f32)) {
+      const std::size_t ldb = n + 3;
+      const std::size_t ldc = n + 5;
+      auto b = random_f32(kDepth * ldb, rng, -2.0F, 2.0F);
+      b[kNanRow * ldb + n / 2] = std::numeric_limits<float>::quiet_NaN();
+      for (std::size_t rows = 1; rows <= 9; ++rows) {
+        auto c0 = random_f32(rows * ldc, rng, -2.0F, 2.0F);
+        c0[0] = -0.0F;  // a skipped 0 * b must not flip it to +0
+        for (const bool column_major : {false, true}) {
+          // Row-major A is matmul_acc's layout, column-major (with padding)
+          // is matmul_tn_acc's.
+          const std::size_t a_rs = column_major ? 1 : kDepth;
+          const std::size_t a_cs = column_major ? rows + 2 : 1;
+          auto a = sparse_f32(column_major ? kDepth * a_cs : rows * a_rs, rng);
+          for (std::size_t r = 0; r < rows; ++r) a[r * a_rs + kNanRow * a_cs] = 0.0F;
+          for (const bool skip_zero : {true, false}) {
+            auto want = c0;
+            for (std::size_t r = 0; r < rows; ++r) {
+              for (std::size_t q = 0; q < kDepth; ++q) {
+                const float alpha = a[r * a_rs + q * a_cs];
+                if (skip_zero && alpha == 0.0F) continue;
+                kern.axpy_f32(want.data() + r * ldc, b.data() + q * ldb, alpha, n);
+              }
+            }
+            auto got = c0;
+            kern.gemm_acc_f32(got.data(), ldc, a.data(), a_rs, a_cs, b.data(), ldb, rows, kDepth,
+                              n, skip_zero);
+            const std::string what = std::string(kern.name) + " n=" + std::to_string(n) +
+                                     " rows=" + std::to_string(rows) +
+                                     (column_major ? " col-major" : " row-major") +
+                                     (skip_zero ? " skip" : " strict");
+            ASSERT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
+                << what;
+            // The NaN column: masked by the skip, poisons every row without it.
+            for (std::size_t r = 0; r < rows; ++r) {
+              EXPECT_EQ(std::isnan(got[r * ldc + n / 2]), !skip_zero) << what << " r=" << r;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(VecBitIdentity, DotsAccMatchesDotChain) {
+  util::Rng rng(157);
+  for (const VecBackend backend : supported_backends()) {
+    const VecKernels& kern = vec_kernels_for(backend);
+    for (const std::size_t k : gemm_widths(kern.width_f32)) {
+      const std::size_t ldb = k + 3;
+      const auto a = sparse_f32(k, rng);
+      for (std::size_t n = 1; n <= 9; ++n) {
+        const auto b = random_f32(n * ldb, rng, -2.0F, 2.0F);
+        const auto c0 = random_f32(n, rng, -2.0F, 2.0F);
+        auto want = c0;
+        for (std::size_t j = 0; j < n; ++j) {
+          want[j] += kern.dot_f32(a.data(), b.data() + j * ldb, k);
+        }
+        auto got = c0;
+        kern.dots_acc_f32(got.data(), a.data(), b.data(), ldb, n, k);
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(), n * sizeof(float)))
+            << kern.name << " k=" << k << " n=" << n;
+      }
+    }
   }
 }
 

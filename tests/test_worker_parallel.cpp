@@ -3,17 +3,20 @@
 // training run's observable result — loss curve, metrics, communication
 // bytes, fault outcomes, and final parameters — is BIT-identical for every
 // worker pool width and pipeline depth, across sync modes and under injected
-// faults. Plus direct bit-identity of the chunked neighbor sampler and
-// in-order crash delivery through the pipeline.
+// faults. Plus direct bit-identity of the chunked neighbor sampler and the
+// row-blocked GEMM kernels, and in-order crash delivery through the pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
 #include "sampling/edge_split.hpp"
 #include "sampling/neighbor_sampler.hpp"
+#include "tensor/matrix.hpp"
+#include "tensor/parallel.hpp"
 #include "tensor/vec.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -118,6 +121,49 @@ TEST(WorkerParallelSampling, AdvancesCallerRngByExactlyOneDraw) {
   // Consumption is constant — independent of how many nodes were expanded —
   // so back-to-back sample() calls stay aligned across configurations.
   EXPECT_EQ(rng.next(), reference.next());
+}
+
+// ---- row-blocked GEMM kernels ----
+
+/// Gaussian entries with about 30% exact zeros (the kernels' zero-skip).
+tensor::Matrix sparse_matrix(std::size_t rows, std::size_t cols, util::Rng& rng) {
+  tensor::Matrix out(rows, cols);
+  for (float& x : out.data()) {
+    x = rng.uniform() < 0.3 ? 0.0F : static_cast<float>(rng.normal(0.0, 1.0));
+  }
+  return out;
+}
+
+/// Pooled matmul_acc / matmul_tn_acc / matmul_nt_acc must write the serial
+/// bytes at every pool width. Every C row count (37, 1470) leaves a partial
+/// 16-row block, and C starts non-zero so the accumulate path is covered.
+TEST(PooledKernels, GemmFamilyMatchesSerialBytesAtEveryWidth) {
+  util::Rng rng(29);
+  const tensor::Matrix a = sparse_matrix(37, 1470, rng);     // m x k
+  const tensor::Matrix w = sparse_matrix(1470, 64, rng);     // k x n
+  const tensor::Matrix g = sparse_matrix(37, 64, rng);       // m x n
+  const tensor::Matrix c_mn = sparse_matrix(37, 64, rng);    // matmul_acc: A W
+  const tensor::Matrix c_kn = sparse_matrix(1470, 64, rng);  // matmul_tn_acc: A^T G
+  const tensor::Matrix c_mk = sparse_matrix(37, 1470, rng);  // matmul_nt_acc: G W^T
+  const auto run_all = [&] {
+    std::vector<tensor::Matrix> out{c_mn, c_kn, c_mk};
+    tensor::matmul_acc(a, w, out[0]);
+    tensor::matmul_tn_acc(a, g, out[1]);
+    tensor::matmul_nt_acc(g, w, out[2]);
+    return out;
+  };
+  const auto serial = run_all();
+  for (const std::size_t threads : {1U, 2U, 4U, 7U}) {
+    util::ThreadPool pool(threads);
+    const tensor::ComputePoolScope scope(&pool);
+    const auto pooled = run_all();
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      const auto want = serial[i].data();
+      const auto got = pooled[i].data();
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(float)))
+          << "kernel " << i << " threads=" << threads;
+    }
+  }
 }
 
 // ---- randomized bit-identity property over full training runs ----
