@@ -5,7 +5,8 @@
 // sparsifies the partitions (SpLPG), builds one WorkerView + model replica +
 // optimizer per worker, and launches one OS thread per worker. Workers run
 // mini-batch training with per-batch negative sampling and synchronize via
-// gradient averaging (every batch) or model averaging (every epoch).
+// gradient averaging (every batch), model averaging (every epoch), or local
+// SGD (model averaging every `local_steps` batches and at the epoch end).
 // Everything is deterministic in config.seed.
 #pragma once
 

@@ -35,6 +35,11 @@ class MasterStore {
     return parts_.assignment[v];
   }
 
+  /// Node -> part id, for every node.
+  [[nodiscard]] const std::vector<std::uint32_t>& assignment() const noexcept {
+    return parts_.assignment;
+  }
+
   /// Core nodes of a partition (sorted).
   [[nodiscard]] const std::vector<graph::NodeId>& part_nodes(std::uint32_t part) const {
     return part_nodes_[part];

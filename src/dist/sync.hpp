@@ -111,8 +111,11 @@ class DistContext {
   /// the hook carried for this worker is dropped.
   void rejoin(std::uint32_t worker);
 
+  /// Lowest-indexed worker still participating in collectives (0 when none
+  /// is).
+  [[nodiscard]] std::uint32_t first_active() const noexcept;
+
  private:
-  [[nodiscard]] nn::Module* first_active_replica() const noexcept;
   void charge(std::uint32_t worker, std::uint64_t bytes);
 
   util::Barrier barrier_;

@@ -10,6 +10,7 @@
 
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
+#include "io/storage_fault.hpp"
 #include "sampling/edge_split.hpp"
 #include "tensor/matrix.hpp"
 
@@ -149,6 +150,32 @@ TEST_F(ResumeTest, CheckpointDirWritesBothModelAndStateFiles) {
         << "epoch " << epoch;
     EXPECT_TRUE(fs::exists(state_path(epoch))) << "epoch " << epoch;
   }
+}
+
+TEST_F(ResumeTest, ResumeReadsTheStateFileOnce) {
+  // A bit flip that fires on the state file's SECOND read: a resume that
+  // re-reads the file per worker would load corrupt bytes into worker 1.
+  const TrainResult reference = run(base_config(Method::kSplpg, 3));
+
+  auto first_part = base_config(Method::kSplpg, 1);
+  first_part.checkpoint_every = 1;
+  first_part.checkpoint_dir = dir_.string();
+  (void)run(first_part);
+
+  auto rest = base_config(Method::kSplpg, 3);
+  rest.resume_from = state_path(1);
+  rest.storage_faults.faults.push_back({io::StorageFaultKind::kBitFlip, "state_epoch_1",
+                                        io::StorageFault::kRandomOffset, 1});
+  const TrainResult resumed = run(rest);
+
+  EXPECT_EQ(resumed.fault.storage_read_faults, 0U);
+  ASSERT_EQ(resumed.history.size(), 2U);
+  for (const auto& record : resumed.history) {
+    EXPECT_DOUBLE_EQ(reference.history.at(record.epoch - 1).mean_loss, record.mean_loss)
+        << "epoch " << record.epoch;
+  }
+  EXPECT_DOUBLE_EQ(reference.test_hits, resumed.test_hits);
+  expect_models_bit_identical(reference, resumed);
 }
 
 TEST_F(ResumeTest, ResumePastConfiguredEpochsThrows) {
