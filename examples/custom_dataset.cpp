@@ -1,17 +1,16 @@
 // Custom dataset: the adoption path for users with their own graphs.
 //
 // Loads a whitespace "u v" edge list (generating one first if none is given),
-// attaches features, trains SpLPG, and saves both the graph bundle and the
-// trained model checkpoint to disk.
+// attaches features, trains SpLPG, and saves the graph (a binary edge list
+// and a feature file, both checksummed) and the trained model checkpoint.
 //
 //   ./example_custom_dataset [--edges=my_graph.txt] [--feature_dim=64]
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "core/trainer.hpp"
 #include "data/generators.hpp"
-#include "graph/io.hpp"
+#include "io/edge_list.hpp"
+#include "io/feature_file.hpp"
 #include "nn/checkpoint.hpp"
 #include "sampling/edge_split.hpp"
 #include "util/flags.hpp"
@@ -25,7 +24,7 @@ int main(int argc, char** argv) {
                "random feature dimension (used when the dataset has no features)");
   flags.define("epochs", static_cast<std::int64_t>(6), "training epochs");
   flags.define("partitions", static_cast<std::int64_t>(4), "workers");
-  flags.define("out", "/tmp/splpg_demo", "output prefix for .graph/.model files");
+  flags.define("out", "/tmp/splpg_demo", "output prefix for the graph and model files");
   flags.define("seed", static_cast<std::int64_t>(9), "seed");
   if (!flags.parse(argc, argv)) return 1;
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
@@ -36,18 +35,18 @@ int main(int argc, char** argv) {
     path = flags.get_string("out") + ".edges";
     util::Rng rng(seed);
     const auto demo = data::generate_watts_strogatz(800, 8, 0.2, rng);
-    std::ofstream out(path);
-    graph::save_edge_list(out, demo);
+    io::write_edge_list_text_file(path, demo);
     std::printf("no --edges given; wrote a demo Watts-Strogatz graph to %s\n", path.c_str());
   }
 
-  // 2. Load and renumber.
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+  // 2. Load and renumber; self-loops and duplicate edges are dropped.
+  graph::CsrGraph graph;
+  try {
+    graph = io::read_edge_list_text_file(path, {.renumber = true, .strict = false});
+  } catch (const io::FormatError& error) {
+    std::fprintf(stderr, "%s\n", error.what());
     return 1;
   }
-  const auto graph = graph::load_edge_list(in, /*renumber=*/true);
   std::printf("loaded %s: %u nodes, %llu edges\n", path.c_str(), graph.num_nodes(),
               static_cast<unsigned long long>(graph.num_edges()));
 
@@ -84,20 +83,27 @@ int main(int argc, char** argv) {
               result.comm_gigabytes_per_epoch * 1024.0,
               static_cast<unsigned long long>(result.partition_edge_cut));
 
-  // 5. Persist artifacts: the graph bundle and the trained model.
-  const std::string graph_path = flags.get_string("out") + ".graph";
+  // 5. Persist artifacts: the graph, its features and the trained model.
+  const std::string edges_path = flags.get_string("out") + ".edges.bin";
+  const std::string features_path = flags.get_string("out") + ".features.bin";
   const std::string model_path = flags.get_string("out") + ".model";
-  graph::save_graph_file(graph_path, graph, features);
+  io::write_edge_list_binary_file(edges_path, graph);
+  io::write_features_file(features_path, features);
   nn::save_parameters_file(model_path, *result.model);
-  std::printf("saved %s and %s\n", graph_path.c_str(), model_path.c_str());
+  std::printf("saved %s, %s and %s\n", edges_path.c_str(), features_path.c_str(),
+              model_path.c_str());
 
-  // 6. Round-trip check: reload both and verify the model scores match.
-  const auto bundle = graph::load_graph_file(graph_path);
+  // 6. Round-trip check: reload all three and verify the model scores match.
+  const auto reloaded_graph = io::read_edge_list_binary_file(edges_path);
+  const auto reloaded_features =
+      io::read_features_file(features_path, io::FeatureBackend::kBuffered);
+  std::printf("reloaded graph: %u nodes, %llu edges\n", reloaded_graph.num_nodes(),
+              static_cast<unsigned long long>(reloaded_graph.num_edges()));
   nn::ModelConfig model_config = config.model;
-  model_config.in_dim = bundle.features.dim();
+  model_config.in_dim = reloaded_features.dim();
   nn::LinkPredictionModel reloaded(model_config, /*seed=*/123);  // different init
   nn::load_parameters_file(model_path, reloaded);
-  const core::Evaluator scorer(split, bundle.features, reloaded.default_fanouts());
+  const core::Evaluator scorer(split, reloaded_features, reloaded.default_fanouts());
   const std::vector<sampling::NodePair> probe{{0, 1}, {2, 3}};
   const auto original_scores = scorer.score_pairs(*result.model, probe);
   const auto reloaded_scores = scorer.score_pairs(reloaded, probe);

@@ -383,45 +383,43 @@ class Training {
   /// Resume stage: restores every replica's parameters AND optimizer
   /// moments from `resume_from` and returns the first epoch to train.
   /// Per-epoch worker state is a pure function of (seed, worker, epoch), so
-  /// the resumed run is bit-identical to an uninterrupted one.
+  /// the resumed run is bit-identical to an uninterrupted one. The state
+  /// file is read once, checksums and trailing bytes verified, and every
+  /// replica is restored from that one decoded state.
   std::uint32_t resume() {
-    std::string path = config_.resume_from;
-    if (path == "auto") {
-      // Self-healing recovery: newest checkpoint in checkpoint_dir whose
-      // structure and checksums validate; corrupt ones are skipped
-      // epoch-by-epoch. No valid checkpoint = fresh start, not an error.
+    nn::TrainState state;
+    if (config_.resume_from == "auto") {
+      // Self-healing recovery: newest checkpoint in checkpoint_dir that
+      // decodes cleanly; corrupt ones are skipped epoch-by-epoch. No valid
+      // checkpoint = fresh start, not an error.
       if (config_.checkpoint_dir.empty()) {
         throw std::invalid_argument(
             "train_link_prediction: resume_from=\"auto\" requires checkpoint_dir");
       }
       std::uint32_t skipped = 0;
-      const auto latest = nn::find_latest_valid_checkpoint(config_.checkpoint_dir, &skipped);
+      const auto latest =
+          nn::find_latest_valid_checkpoint(config_.checkpoint_dir, &skipped, &state);
       result_.fault.checkpoints_skipped_invalid += skipped;
       if (skipped > 0) {
         SPLPG_WARN << "auto-resume skipped " << skipped << " corrupt checkpoint(s) in "
                    << config_.checkpoint_dir;
       }
-      path = latest.has_value() ? latest->state_file : std::string();
+      if (!latest.has_value()) return 1;
+    } else if (!config_.resume_from.empty()) {
+      state = nn::decode_train_state_file(config_.resume_from);
+    } else {
+      return 1;
     }
-    if (path.empty()) return 1;
-
-    // The file is read once, checksums and trailing bytes verified; the
-    // other replicas restore from that in-memory state, as crash recovery
-    // does.
-    Worker& first = workers_[0];
-    const std::uint32_t saved_epoch =
-        nn::load_train_state_file(path, *first.replica, *first.optimizer);
-    if (saved_epoch >= config_.epochs) {
+    if (state.epoch >= config_.epochs) {
       throw std::invalid_argument("train_link_prediction: resume_from checkpoint is at epoch " +
-                                  std::to_string(saved_epoch) + ", nothing left of the " +
+                                  std::to_string(state.epoch) + ", nothing left of the " +
                                   std::to_string(config_.epochs) + " configured epochs");
     }
-    const std::string state = train_state(first, saved_epoch);
-    for (std::uint32_t w = 1; w < num_workers_; ++w) {
-      restore(workers_[w], state, first, config_.learning_rate);
+    for (Worker& worker : workers_) {
+      (void)nn::apply_train_state(state, *worker.replica, *worker.optimizer);
     }
-    result_.resumed_from_epoch = saved_epoch;
-    return saved_epoch + 1;
+    result_.resumed_from_epoch = state.epoch;
+    return state.epoch + 1;
   }
 
   /// Keeps `src`'s full train state in memory for crash recovery and, when

@@ -8,8 +8,9 @@
 
 #include "io/atomic_file.hpp"
 #include "io/crc32.hpp"
+#include "io/section.hpp"
 #include "io/storage_fault.hpp"
-#include "util/serialize.hpp"
+#include "nn/matrix_section.hpp"
 
 namespace splpg::nn {
 
@@ -19,9 +20,9 @@ namespace {
 
 // Parameter section. The legacy "SPLM" layout (magic, count, shapes + data,
 // no checksums) is still readable; new sections are written as "SPM2" with a
-// checksummed header + payload. The magic changed (instead of a version
-// bump) because v1 has no version field — the byte after the magic is
-// already the parameter count.
+// checksummed header + payload (nn/matrix_section.hpp). The magic changed
+// (instead of a version bump) because v1 has no version field — the byte
+// after the magic is already the parameter count.
 constexpr std::uint32_t kMagicLegacy = 0x53504C4D;  // "SPLM"
 constexpr std::uint32_t kMagic = 0x53504D32;        // "SPM2"
 
@@ -30,247 +31,47 @@ constexpr std::uint32_t kStateMagic = 0x5350434B;  // "SPCK"
 constexpr std::uint32_t kStateVersionLegacy = 1;
 constexpr std::uint32_t kStateVersion = 2;
 
-// Optimizer-section magics (owned by nn/optimizer.cpp; the structural walker
-// below needs to recognize both generations).
-constexpr std::uint32_t kOptMagicLegacy = 0x53504F53;  // "SPOS"
-constexpr std::uint32_t kOptMagic = 0x53504F32;        // "SPO2"
-
 constexpr const char* kManifestFile = "MANIFEST";
 constexpr const char* kStatePrefix = "state_epoch_";
 constexpr const char* kModelPrefix = "model_epoch_";
 
-[[noreturn]] void fail(const std::string& message) { throw io::FormatError(message); }
-
-void check_crc(std::uint32_t stored, std::uint32_t computed, const char* what,
-               std::uint64_t offset) {
-  if (stored == computed) return;
-  std::ostringstream hex;
-  hex << std::hex << stored << ", computed 0x" << computed;
-  fail(std::string(what) + " checksum mismatch at offset " + std::to_string(offset) +
-       " (stored 0x" + hex.str() + ")");
-}
-
-struct ParameterSectionHeader {
-  std::uint32_t magic = 0;
-  std::uint64_t count = 0;
-  std::uint64_t payload_bytes = 0;  // v2 only
-  std::uint32_t payload_crc = 0;    // v2 only
-
-  [[nodiscard]] bool checksummed() const noexcept { return magic == kMagic; }
-};
-
-ParameterSectionHeader read_parameter_header(std::istream& in) {
-  using util::read_pod;
-  ParameterSectionHeader header;
-  std::uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in) fail("load_parameters: truncated header (no magic)");
+/// Decodes one parameter section; `checksummed` reports SPM2 versus SPLM.
+std::vector<tensor::Matrix> decode_parameters(std::istream& in, bool& checksummed) {
+  io::SectionReader section(in, "parameter section");
+  const auto magic = section.read<std::uint32_t>();
   if (magic != kMagic && magic != kMagicLegacy) {
-    fail("load_parameters: bad magic (not an SPLM parameter section)");
+    section.fail("bad magic (not an SPLM parameter section)");
   }
-  header.magic = magic;
-  try {
-    header.count = read_pod<std::uint64_t>(in);
-    if (magic == kMagic) {
-      header.payload_bytes = read_pod<std::uint64_t>(in);
-      header.payload_crc = read_pod<std::uint32_t>(in);
-      const auto stored_header_crc = read_pod<std::uint32_t>(in);
-      std::ostringstream bytes;
-      util::write_pod(bytes, magic);
-      util::write_pod(bytes, header.count);
-      util::write_pod(bytes, header.payload_bytes);
-      util::write_pod(bytes, header.payload_crc);
-      const std::string head = bytes.str();
-      check_crc(stored_header_crc, io::Crc32::of(head.data(), head.size()),
-                "load_parameters: parameter-section header", head.size());
+  checksummed = magic == kMagic;
+  const auto count = section.read<std::uint64_t>();
+  return checksummed ? read_matrix_section(section, count) : read_matrices(section, count);
+}
+
+/// Throws std::invalid_argument unless `values` match the module's
+/// parameters in count and every shape (the state_dict contract).
+void check_parameter_shapes(const std::vector<tensor::Matrix>& values, const Module& module) {
+  const auto& params = module.parameters();
+  if (values.size() != params.size()) {
+    throw std::invalid_argument("load_parameters: parameter count mismatch");
+  }
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (!values[i].same_shape(params[i].value())) {
+      throw std::invalid_argument("load_parameters: shape mismatch at parameter " +
+                                  std::to_string(i));
     }
-  } catch (const io::FormatError&) {
-    throw;
-  } catch (const std::runtime_error&) {
-    fail("load_parameters: truncated header");
-  }
-  return header;
-}
-
-std::string read_verified_payload(std::istream& in, const ParameterSectionHeader& header,
-                                  const char* who) {
-  std::string body(header.payload_bytes, '\0');
-  in.read(body.data(), static_cast<std::streamsize>(header.payload_bytes));
-  if (static_cast<std::uint64_t>(in.gcount()) != header.payload_bytes) {
-    fail(std::string(who) + ": truncated — header declares " +
-         std::to_string(header.payload_bytes) + " payload bytes");
-  }
-  check_crc(header.payload_crc, io::Crc32::of(body.data(), body.size()),
-            (std::string(who) + ": payload").c_str(), 28);
-  return body;
-}
-
-/// Reads one shape-prefixed matrix into `destination`, enforcing the
-/// destination's shape (the state_dict contract).
-void read_matrix_data(std::istream& in, tensor::Matrix& destination, const char* who) {
-  std::uint64_t rows = 0;
-  std::uint64_t cols = 0;
-  try {
-    rows = util::read_pod<std::uint64_t>(in);
-    cols = util::read_pod<std::uint64_t>(in);
-  } catch (const std::runtime_error&) {
-    fail(std::string(who) + ": truncated shape header");
-  }
-  if (rows != destination.rows() || cols != destination.cols()) {
-    throw std::invalid_argument(std::string(who) + ": shape mismatch");
-  }
-  auto data = destination.data();
-  in.read(reinterpret_cast<char*>(data.data()),
-          static_cast<std::streamsize>(data.size() * sizeof(float)));
-  if (!in) fail(std::string(who) + ": unexpected end of stream");
-}
-
-// ---- module-free structural walkers (validate_train_state_file) ----
-
-void skip_bytes(std::istream& in, std::uint64_t bytes, const char* what) {
-  in.ignore(static_cast<std::streamsize>(bytes));
-  if (static_cast<std::uint64_t>(in.gcount()) != bytes) {
-    fail(std::string("validate_train_state: truncated ") + what);
   }
 }
 
-std::uint64_t checked_matrix_bytes(std::uint64_t rows, std::uint64_t cols) {
-  if (rows != 0 && cols > (UINT64_MAX / sizeof(float)) / rows) {
-    fail("validate_train_state: implausible matrix shape " + std::to_string(rows) + "x" +
-         std::to_string(cols));
-  }
-  return rows * cols * sizeof(float);
-}
-
-/// Walks `count` shape-prefixed matrices of `in`, validating structure only.
-void walk_matrices(std::istream& in, std::uint64_t count, const char* what) {
-  using util::read_pod;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t rows = 0;
-    std::uint64_t cols = 0;
-    try {
-      rows = read_pod<std::uint64_t>(in);
-      cols = read_pod<std::uint64_t>(in);
-    } catch (const std::runtime_error&) {
-      fail(std::string("validate_train_state: truncated ") + what + " shape header");
-    }
-    skip_bytes(in, checked_matrix_bytes(rows, cols), what);
+/// Copies checked values into the parameters' existing storage.
+void write_parameters(const std::vector<tensor::Matrix>& values, Module& module) {
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    std::ranges::copy(values[i].data(), module.parameters()[i].mutable_value().data().begin());
   }
 }
 
-void walk_parameter_section(std::istream& in, bool& checksummed) {
-  const ParameterSectionHeader header = read_parameter_header(in);
-  checksummed = header.checksummed();
-  if (header.checksummed()) {
-    const std::string body = read_verified_payload(in, header, "validate_train_state");
-    std::istringstream verified(body);
-    walk_matrices(verified, header.count, "parameter");
-    if (verified.peek() != std::char_traits<char>::eof()) {
-      fail("validate_train_state: parameter payload longer than its shapes declare");
-    }
-  } else {
-    walk_matrices(in, header.count, "parameter");
-  }
-}
-
-void walk_optimizer_section(std::istream& in, bool& checksummed) {
-  using util::read_pod;
-  if (in.peek() == std::char_traits<char>::eof()) return;  // stateless optimizer
-  std::uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in) fail("validate_train_state: truncated optimizer section");
-  if (magic == kOptMagicLegacy) {
-    checksummed = false;
-    try {
-      (void)read_pod<std::uint64_t>(in);  // t
-      const auto count = read_pod<std::uint64_t>(in);
-      walk_matrices(in, 2 * count, "moment");
-    } catch (const io::FormatError&) {
-      throw;
-    } catch (const std::runtime_error&) {
-      fail("validate_train_state: truncated optimizer section");
-    }
-    return;
-  }
-  if (magic != kOptMagic) {
-    fail("validate_train_state: bad optimizer-section magic");
-  }
-  try {
-    const auto t = read_pod<std::uint64_t>(in);
-    const auto count = read_pod<std::uint64_t>(in);
-    const auto payload_bytes = read_pod<std::uint64_t>(in);
-    const auto payload_crc = read_pod<std::uint32_t>(in);
-    const auto stored_header_crc = read_pod<std::uint32_t>(in);
-    std::ostringstream bytes;
-    util::write_pod(bytes, magic);
-    util::write_pod(bytes, t);
-    util::write_pod(bytes, count);
-    util::write_pod(bytes, payload_bytes);
-    util::write_pod(bytes, payload_crc);
-    const std::string head = bytes.str();
-    check_crc(stored_header_crc, io::Crc32::of(head.data(), head.size()),
-              "validate_train_state: optimizer-section header", head.size());
-    std::string body(payload_bytes, '\0');
-    in.read(body.data(), static_cast<std::streamsize>(payload_bytes));
-    if (static_cast<std::uint64_t>(in.gcount()) != payload_bytes) {
-      fail("validate_train_state: truncated — optimizer section declares " +
-           std::to_string(payload_bytes) + " payload bytes");
-    }
-    check_crc(payload_crc, io::Crc32::of(body.data(), body.size()),
-              "validate_train_state: optimizer payload", head.size());
-    std::istringstream verified(body);
-    walk_matrices(verified, 2 * count, "moment");
-    if (verified.peek() != std::char_traits<char>::eof()) {
-      fail("validate_train_state: optimizer payload longer than its shapes declare");
-    }
-  } catch (const io::FormatError&) {
-    throw;
-  } catch (const std::runtime_error&) {
-    fail("validate_train_state: truncated optimizer section");
-  }
-}
-
-struct StateHeader {
-  std::uint32_t version = 0;
-  std::uint32_t epoch = 0;
-};
-
-StateHeader read_state_header(std::istream& in, const char* who) {
-  using util::read_pod;
-  std::uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in || magic != kStateMagic) {
-    fail(std::string(who) + ": bad magic (not an SPCK train state)");
-  }
-  StateHeader header;
-  try {
-    header.version = read_pod<std::uint32_t>(in);
-    if (header.version != kStateVersion && header.version != kStateVersionLegacy) {
-      fail(std::string(who) + ": unsupported version " + std::to_string(header.version));
-    }
-    header.epoch = read_pod<std::uint32_t>(in);
-    if (header.version == kStateVersion) {
-      const auto stored_header_crc = read_pod<std::uint32_t>(in);
-      std::ostringstream bytes;
-      util::write_pod(bytes, magic);
-      util::write_pod(bytes, header.version);
-      util::write_pod(bytes, header.epoch);
-      const std::string head = bytes.str();
-      check_crc(stored_header_crc, io::Crc32::of(head.data(), head.size()),
-                (std::string(who) + ": train-state header").c_str(), head.size());
-    }
-  } catch (const io::FormatError&) {
-    throw;
-  } catch (const std::runtime_error&) {
-    fail(std::string(who) + ": truncated header");
-  }
-  return header;
-}
-
+/// Throws unless `in` ends here.
 void expect_file_end(std::istream& in, const char* who) {
-  if (in.peek() != std::char_traits<char>::eof()) {
-    fail(std::string(who) + ": trailing garbage after the declared contents");
-  }
+  io::SectionReader(in, who).expect_end();
 }
 
 /// Parses the epoch out of `<prefix><digits>.bin`; nullopt for other names.
@@ -294,25 +95,9 @@ std::optional<std::uint32_t> epoch_of(const std::string& filename, const char* p
 }  // namespace
 
 void save_parameters(std::ostream& out, const Module& module) {
-  using util::write_pod;
-  std::ostringstream payload;
-  for (const auto& p : module.parameters()) {
-    write_pod<std::uint64_t>(payload, p.value().rows());
-    write_pod<std::uint64_t>(payload, p.value().cols());
-    const auto data = p.value().data();
-    payload.write(reinterpret_cast<const char*>(data.data()),
-                  static_cast<std::streamsize>(data.size() * sizeof(float)));
-  }
-  const std::string body = payload.str();
-  std::ostringstream header;
-  write_pod(header, kMagic);
-  write_pod<std::uint64_t>(header, module.parameters().size());
-  write_pod<std::uint64_t>(header, body.size());
-  write_pod<std::uint32_t>(header, io::Crc32::of(body.data(), body.size()));
-  const std::string head = header.str();
-  out.write(head.data(), static_cast<std::streamsize>(head.size()));
-  write_pod<std::uint32_t>(out, io::Crc32::of(head.data(), head.size()));
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
+  std::vector<const tensor::Matrix*> values;
+  for (const auto& p : module.parameters()) values.push_back(&p.value());
+  write_matrix_section(out, values, kMagic, std::uint64_t{values.size()});
   if (!out) throw std::runtime_error("save_parameters: write failed");
 }
 
@@ -321,27 +106,11 @@ void save_parameters_file(const std::string& path, const Module& module) {
 }
 
 void load_parameters(std::istream& in, Module& module, io::ReadIntegrity* integrity) {
-  const ParameterSectionHeader header = read_parameter_header(in);
-  if (integrity != nullptr) {
-    integrity->version = header.checksummed() ? 2 : 1;
-    integrity->checksummed = header.checksummed();
-  }
-  if (header.count != module.parameters().size()) {
-    throw std::invalid_argument("load_parameters: parameter count mismatch");
-  }
-  if (header.checksummed()) {
-    // Verify the whole payload BEFORE interpreting any of it: a flipped bit
-    // reports as a checksum mismatch, never as a bogus shape error.
-    const std::string body = read_verified_payload(in, header, "load_parameters");
-    std::istringstream verified(body);
-    for (auto& p : module.parameters()) {
-      read_matrix_data(verified, p.mutable_value(), "load_parameters");
-    }
-  } else {
-    for (auto& p : module.parameters()) {
-      read_matrix_data(in, p.mutable_value(), "load_parameters");
-    }
-  }
+  bool checksummed = false;
+  const auto values = decode_parameters(in, checksummed);
+  if (integrity != nullptr) *integrity = {checksummed ? 2U : 1U, checksummed};
+  check_parameter_shapes(values, module);
+  write_parameters(values, module);
 }
 
 void load_parameters_file(const std::string& path, Module& module,
@@ -357,14 +126,7 @@ void load_parameters_file(const std::string& path, Module& module,
 
 void save_train_state(std::ostream& out, const Module& module, const Optimizer& optimizer,
                       std::uint32_t epoch) {
-  using util::write_pod;
-  std::ostringstream header;
-  write_pod(header, kStateMagic);
-  write_pod(header, kStateVersion);
-  write_pod(header, epoch);
-  const std::string head = header.str();
-  out.write(head.data(), static_cast<std::streamsize>(head.size()));
-  write_pod<std::uint32_t>(out, io::Crc32::of(head.data(), head.size()));
+  io::write_header(out, kStateMagic, kStateVersion, epoch);
   save_parameters(out, module);
   optimizer.save_state(out);
   if (!out) throw std::runtime_error("save_train_state: write failed");
@@ -376,29 +138,56 @@ void save_train_state_file(const std::string& path, const Module& module,
       path, [&](std::ostream& out) { save_train_state(out, module, optimizer, epoch); });
 }
 
+TrainState decode_train_state(std::istream& in) {
+  io::SectionReader section(in, "train state");
+  if (section.read<std::uint32_t>() != kStateMagic) {
+    section.fail("bad magic (not an SPCK train state)");
+  }
+  const auto version = section.read<std::uint32_t>();
+  if (version != kStateVersion && version != kStateVersionLegacy) {
+    section.fail("unsupported version " + std::to_string(version));
+  }
+  TrainState state;
+  state.epoch = section.read<std::uint32_t>();
+  if (version == kStateVersion) section.check_header_crc();
+  bool parameters_checksummed = false;
+  state.parameters = decode_parameters(in, parameters_checksummed);
+  state.optimizer = decode_optimizer_state(in);
+  state.integrity = {version, version == kStateVersion && parameters_checksummed &&
+                                  (!state.optimizer.present || state.optimizer.checksummed)};
+  return state;
+}
+
+TrainState decode_train_state_file(const std::string& path) {
+  io::storage_faults_on_read(path);
+  std::ifstream in(path, std::ios::binary);
+  if (!in) io::throw_errno("train state: cannot open", path);
+  return io::with_path(path, [&] {
+    TrainState state = decode_train_state(in);
+    expect_file_end(in, "train state");
+    return state;
+  });
+}
+
+std::uint32_t apply_train_state(const TrainState& state, Module& module, Optimizer& optimizer) {
+  check_parameter_shapes(state.parameters, module);
+  optimizer.apply_state(state.optimizer);  // checks before it adopts anything
+  write_parameters(state.parameters, module);
+  return state.epoch;
+}
+
 std::uint32_t load_train_state(std::istream& in, Module& module, Optimizer& optimizer,
                                io::ReadIntegrity* integrity) {
-  const StateHeader header = read_state_header(in, "load_train_state");
-  io::ReadIntegrity params;
-  load_parameters(in, module, &params);
-  optimizer.load_state(in);
-  if (integrity != nullptr) {
-    integrity->version = header.version;
-    integrity->checksummed = header.version == kStateVersion && params.checksummed;
-  }
-  return header.epoch;
+  const TrainState state = decode_train_state(in);
+  if (integrity != nullptr) *integrity = state.integrity;
+  return apply_train_state(state, module, optimizer);
 }
 
 std::uint32_t load_train_state_file(const std::string& path, Module& module,
                                     Optimizer& optimizer, io::ReadIntegrity* integrity) {
-  io::storage_faults_on_read(path);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) io::throw_errno("load_train_state_file: cannot open", path);
-  return io::with_path(path, [&] {
-    const std::uint32_t epoch = load_train_state(in, module, optimizer, integrity);
-    expect_file_end(in, "load_train_state_file");
-    return epoch;
-  });
+  const TrainState state = decode_train_state_file(path);
+  if (integrity != nullptr) *integrity = state.integrity;
+  return apply_train_state(state, module, optimizer);
 }
 
 // ---- checkpoint directories ----
@@ -430,25 +219,17 @@ std::vector<CheckpointEntry> list_checkpoints(const std::string& dir) {
 }
 
 std::uint32_t validate_train_state_file(const std::string& path) {
-  io::storage_faults_on_read(path);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) io::throw_errno("validate_train_state: cannot open", path);
-  return io::with_path(path, [&] {
-    const StateHeader header = read_state_header(in, "validate_train_state");
-    bool checksummed = header.version == kStateVersion;
-    walk_parameter_section(in, checksummed);
-    walk_optimizer_section(in, checksummed);
-    expect_file_end(in, "validate_train_state");
-    return header.epoch;
-  });
+  return decode_train_state_file(path).epoch;
 }
 
 std::optional<CheckpointEntry> find_latest_valid_checkpoint(const std::string& dir,
-                                                            std::uint32_t* skipped) {
+                                                            std::uint32_t* skipped,
+                                                            TrainState* state) {
   if (skipped != nullptr) *skipped = 0;
   for (const auto& entry : list_checkpoints(dir)) {
     try {
-      (void)validate_train_state_file(entry.state_file);
+      TrainState decoded = decode_train_state_file(entry.state_file);
+      if (state != nullptr) *state = std::move(decoded);
       return entry;
     } catch (const std::exception&) {
       // Corrupt, truncated, or unreadable: recovery falls back to the next

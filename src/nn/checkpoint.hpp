@@ -11,19 +11,27 @@
 //
 // Train-state format ("SPCK", version 2): header (magic, version, epoch,
 // header CRC-32), then the parameter section, then the optimizer's state
-// section — each section carries its own checksums. Restoring both halves
-// makes resumed training bit-identical to never having stopped (the
-// exact-resume contract core::TrainConfig::resume_from relies on); restoring
-// parameters alone would rebuild Adam moments from zero and diverge on the
-// first step. Version-1 states (unchecksummed sections) still load.
+// section — each section carries its own checksums, all framed the one way
+// io/section.hpp frames every binary format. Restoring both halves makes
+// resumed training bit-identical to never having stopped (the exact-resume
+// contract core::TrainConfig::resume_from relies on); restoring parameters
+// alone would rebuild Adam moments from zero and diverge on the first step.
+// Version-1 states (unchecksummed sections) still load.
+//
+// Loading is two steps. decode_train_state needs no module: it checks every
+// checksum, truncation and trailing byte and returns a TrainState value.
+// apply_train_state then checks counts and shapes against the module and
+// optimizer before it writes anything, so a load that fails — corrupt bytes
+// or a mismatched model — leaves the destination untouched.
 //
 // Checkpoint directories: the trainer writes `model_epoch_<e>.bin` (servable
 // parameters) + `state_epoch_<e>.bin` (resumable train state) per
 // checkpointed epoch, every file through io::AtomicFile. A MANIFEST text
 // file names the retained epochs (advisory — the directory scan is ground
 // truth, so a corrupt manifest never blocks recovery), and
-// find_latest_valid_checkpoint powers `resume_from = "auto"`: newest state
-// file whose structure and checksums validate, skipping corrupt ones.
+// find_latest_valid_checkpoint powers `resume_from = "auto"`: the newest
+// state file that decodes cleanly, skipping corrupt ones. Each candidate is
+// read once, and the chosen one's decoded state is what the trainer applies.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +43,7 @@
 #include "io/error.hpp"
 #include "nn/module.hpp"
 #include "nn/optimizer.hpp"
+#include "tensor/matrix.hpp"
 
 namespace splpg::nn {
 
@@ -43,8 +52,9 @@ void save_parameters_file(const std::string& path, const Module& module);
 
 /// Throws io::FormatError (a std::runtime_error) on malformed bytes and
 /// std::invalid_argument on arity/shape mismatches with the destination
-/// module. `integrity` (when non-null) reports the parsed format version and
-/// whether checksums were verified (false for legacy "SPLM" sections).
+/// module; either way the module is left untouched. `integrity` (when
+/// non-null) reports the parsed format version and whether checksums were
+/// verified (false for legacy "SPLM" sections).
 void load_parameters(std::istream& in, Module& module, io::ReadIntegrity* integrity = nullptr);
 void load_parameters_file(const std::string& path, Module& module,
                           io::ReadIntegrity* integrity = nullptr);
@@ -54,8 +64,27 @@ void save_train_state(std::ostream& out, const Module& module, const Optimizer& 
 void save_train_state_file(const std::string& path, const Module& module,
                            const Optimizer& optimizer, std::uint32_t epoch);
 
-/// Restores parameters and optimizer state; returns the checkpoint's epoch.
-/// Same exception contract as load_parameters.
+/// A train state decoded without a module: every checksum and truncation
+/// (and, from a file, every trailing byte) already checked.
+struct TrainState {
+  std::uint32_t epoch = 0;
+  std::vector<tensor::Matrix> parameters;
+  OptimizerState optimizer;
+  io::ReadIntegrity integrity;
+};
+
+/// Throws io::FormatError (io::IoError for a failed open) on any defect.
+[[nodiscard]] TrainState decode_train_state(std::istream& in);
+[[nodiscard]] TrainState decode_train_state_file(const std::string& path);
+
+/// Checks `state` against `module` and `optimizer` in count and shape, then
+/// writes both; on a mismatch it throws std::invalid_argument having written
+/// nothing. Returns the state's epoch.
+std::uint32_t apply_train_state(const TrainState& state, Module& module, Optimizer& optimizer);
+
+/// apply_train_state(decode_train_state(...)): restores parameters and
+/// optimizer state, or nothing; returns the checkpoint's epoch. Same
+/// exception contract as load_parameters.
 std::uint32_t load_train_state(std::istream& in, Module& module, Optimizer& optimizer,
                                io::ReadIntegrity* integrity = nullptr);
 std::uint32_t load_train_state_file(const std::string& path, Module& module,
@@ -78,17 +107,16 @@ struct CheckpointEntry {
 /// A missing directory yields an empty list.
 [[nodiscard]] std::vector<CheckpointEntry> list_checkpoints(const std::string& dir);
 
-/// Structurally validates a train-state file without needing a module: walks
-/// the SPCK header and both sections, verifying every checksum present and
-/// rejecting truncation and trailing garbage. Returns the checkpoint's
-/// epoch; throws io::FormatError / io::IoError on any defect.
+/// Decodes a train-state file and discards it: returns the checkpoint's
+/// epoch, or throws io::FormatError / io::IoError on any defect.
 std::uint32_t validate_train_state_file(const std::string& path);
 
-/// The newest checkpoint in `dir` whose state file passes
-/// validate_train_state_file. Corrupt or truncated checkpoints are skipped
-/// (counted into *skipped when non-null); nullopt when none validates.
+/// The newest checkpoint in `dir` whose state file decodes. Corrupt or
+/// truncated checkpoints are skipped (counted into *skipped when non-null);
+/// nullopt when none decodes. Each candidate is read once; the chosen one's
+/// decoded state goes to *state when non-null.
 [[nodiscard]] std::optional<CheckpointEntry> find_latest_valid_checkpoint(
-    const std::string& dir, std::uint32_t* skipped = nullptr);
+    const std::string& dir, std::uint32_t* skipped = nullptr, TrainState* state = nullptr);
 
 /// Rewrites `dir`/MANIFEST (atomically) to name the checkpoints currently on
 /// disk. The manifest is advisory — recovery always re-scans the directory —

@@ -5,6 +5,7 @@
 // deterministic update), which mirrors PyTorch DDP semantics.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <vector>
 
@@ -12,6 +13,19 @@
 #include "tensor/matrix.hpp"
 
 namespace splpg::nn {
+
+/// An optimizer-state section decoded without an optimizer: the step count
+/// and, per parameter, its first then second moment.
+struct OptimizerState {
+  bool present = false;  // false: no section (stateless optimizers write none)
+  bool checksummed = false;
+  std::uint64_t step = 0;
+  std::vector<tensor::Matrix> moments;
+};
+
+/// Decodes one optimizer-state section ("SPO2", or the legacy "SPOS"),
+/// checking its checksums. At end of stream: an absent state.
+[[nodiscard]] OptimizerState decode_optimizer_state(std::istream& in);
 
 class Optimizer {
  public:
@@ -25,11 +39,15 @@ class Optimizer {
   /// estimates). Loading into an optimizer built over an identically shaped
   /// module makes subsequent steps bit-identical to never having paused —
   /// the exact-resume contract nn::save_train_state builds on. Stateless
-  /// optimizers (SGD) write/read nothing.
+  /// optimizers (SGD) write nothing.
   virtual void save_state(std::ostream& out) const;
-  /// Throws std::runtime_error on format errors, std::invalid_argument on
-  /// shape/arity mismatches with this optimizer's parameters.
-  virtual void load_state(std::istream& in);
+  /// Checks `state` against this optimizer's parameters, then adopts it.
+  /// Throws std::invalid_argument on a count or shape mismatch, having
+  /// changed nothing.
+  virtual void apply_state(const OptimizerState& state);
+  /// apply_state(decode_optimizer_state(in)); format errors throw
+  /// io::FormatError.
+  void load_state(std::istream& in) { apply_state(decode_optimizer_state(in)); }
 
   void zero_grad() noexcept {
     for (auto& p : *parameters_) p.zero_grad();
@@ -59,7 +77,7 @@ class Adam final : public Optimizer {
   void step() override;
 
   void save_state(std::ostream& out) const override;
-  void load_state(std::istream& in) override;
+  void apply_state(const OptimizerState& state) override;
 
  private:
   float learning_rate_;

@@ -1,7 +1,7 @@
-// Binary (de)serialization helpers for graph and dataset files.
-//
-// Format: little-endian PODs and length-prefixed vectors. Used by graph::io
-// for the on-disk graph format; not a wire format.
+// Binary (de)serialization helpers: little-endian PODs and length-prefixed
+// vectors, for spelling out a byte layout by hand (the legacy v1 files the
+// io readers still accept, say). The file formats themselves are framed by
+// io/section.hpp; this is not a wire format.
 #pragma once
 
 #include <cstdint>

@@ -266,6 +266,61 @@ TEST(TrainState, AdamMomentCountMismatchThrows) {
   EXPECT_THROW(shallow_opt.load_state(stream), std::invalid_argument);
 }
 
+/// Two parameters of which only the last one's shape varies: a mismatch
+/// there shows up after the first parameter would already have been copied.
+class TwoParameters : public nn::Module {
+ public:
+  TwoParameters(std::size_t last_cols, float fill) {
+    (void)register_parameter(tensor::Matrix(3, 4, fill));
+    (void)register_parameter(tensor::Matrix(2, last_cols, -fill));
+  }
+};
+
+/// The parameter bytes and the Adam state bytes, as their writers emit them.
+std::string state_bytes(const nn::Module& module, const nn::Adam& adam) {
+  std::ostringstream out;
+  nn::save_parameters(out, module);
+  adam.save_state(out);
+  return out.str();
+}
+
+TEST(TrainState, FailedLoadLeavesTheDestinationUntouched) {
+  TwoParameters source(5, 1.0F);
+  nn::Adam source_opt(source);
+  apply_fake_gradients(source, 1);
+  source_opt.step();
+  std::ostringstream saved_state;
+  nn::save_train_state(saved_state, source, source_opt, 3);
+  std::ostringstream saved_parameters;
+  nn::save_parameters(saved_parameters, source);
+
+  // A bit flip in the optimizer payload (the state's last byte) is found
+  // after the parameter section decoded cleanly.
+  TwoParameters destination(5, 7.0F);
+  nn::Adam destination_opt(destination);
+  apply_fake_gradients(destination, 2);
+  destination_opt.step();
+  const std::string before = state_bytes(destination, destination_opt);
+  std::string flipped = saved_state.str();
+  flipped.back() = static_cast<char>(flipped.back() ^ 0x10);
+  std::istringstream corrupt(flipped);
+  EXPECT_THROW(nn::load_train_state(corrupt, destination, destination_opt), io::FormatError);
+  EXPECT_EQ(state_bytes(destination, destination_opt), before);
+
+  // The last parameter's shape does not match the destination's.
+  TwoParameters narrow(4, 7.0F);
+  nn::Adam narrow_opt(narrow);
+  apply_fake_gradients(narrow, 2);
+  narrow_opt.step();
+  const std::string narrow_before = state_bytes(narrow, narrow_opt);
+  std::istringstream state(saved_state.str());
+  EXPECT_THROW(nn::load_train_state(state, narrow, narrow_opt), std::invalid_argument);
+  EXPECT_EQ(state_bytes(narrow, narrow_opt), narrow_before);
+  std::istringstream parameters(saved_parameters.str());
+  EXPECT_THROW(nn::load_parameters(parameters, narrow), std::invalid_argument);
+  EXPECT_EQ(state_bytes(narrow, narrow_opt), narrow_before);
+}
+
 TEST_F(CheckpointFileTest, TrainStateFileRoundTripRestoresEpochAndSteps) {
   nn::LinkPredictionModel source(small_config(), 1);
   nn::Adam source_opt(source);

@@ -325,6 +325,22 @@ TEST_F(IoFeatureFile, TruncatedFeatureFileIsDescriptiveError) {
   }
 }
 
+TEST_F(IoFeatureFile, ShapeWhoseByteCountOverflowsIsRejected) {
+  // An unchecksummed v1 header declaring 2^31 x 2^31 features: the byte
+  // count wraps to 0, which matches the empty payload of this 16-byte file.
+  {
+    std::ofstream out(path("features.bin"), std::ios::binary);
+    util::write_pod<std::uint32_t>(out, 0x53504654);  // "SPFT"
+    util::write_pod<std::uint32_t>(out, 1);           // version 1: no checksums
+    util::write_pod<std::uint32_t>(out, 1U << 31);    // nodes
+    util::write_pod<std::uint32_t>(out, 1U << 31);    // dim
+  }
+  for (const auto backend : {io::FeatureBackend::kBuffered, io::FeatureBackend::kMmap}) {
+    expect_format_error([&] { return io::read_features_file(path("features.bin"), backend); },
+                        "implausible shape");
+  }
+}
+
 TEST_F(IoFeatureFile, BadMagicIsDescriptiveError) {
   std::ofstream(path("features.bin")) << "totally not a feature file, sorry";
   expect_format_error(

@@ -154,7 +154,9 @@ TEST_F(ResumeTest, CheckpointDirWritesBothModelAndStateFiles) {
 
 TEST_F(ResumeTest, ResumeReadsTheStateFileOnce) {
   // A bit flip that fires on the state file's SECOND read: a resume that
-  // re-reads the file per worker would load corrupt bytes into worker 1.
+  // re-reads the file per worker would load corrupt bytes into worker 1, and
+  // an auto-resume that validates the file and then loads it again would
+  // load corrupt bytes into every worker.
   const TrainResult reference = run(base_config(Method::kSplpg, 3));
 
   auto first_part = base_config(Method::kSplpg, 1);
@@ -176,6 +178,28 @@ TEST_F(ResumeTest, ResumeReadsTheStateFileOnce) {
   }
   EXPECT_DOUBLE_EQ(reference.test_hits, resumed.test_hits);
   expect_models_bit_identical(reference, resumed);
+
+  // resume_from = "auto" over checkpoints 0-2: the newest is picked and
+  // restored from the same single read.
+  const fs::path auto_dir = dir_ / "auto";
+  auto first_two = base_config(Method::kSplpg, 2);
+  first_two.checkpoint_every = 1;
+  first_two.checkpoint_dir = auto_dir.string();
+  (void)run(first_two);
+
+  auto rest_auto = base_config(Method::kSplpg, 3);
+  rest_auto.checkpoint_dir = auto_dir.string();
+  rest_auto.resume_from = "auto";
+  rest_auto.storage_faults.faults.push_back({io::StorageFaultKind::kBitFlip, "state_epoch_2",
+                                             io::StorageFault::kRandomOffset, 1});
+  const TrainResult auto_resumed = run(rest_auto);
+
+  EXPECT_EQ(auto_resumed.fault.storage_read_faults, 0U);
+  EXPECT_EQ(auto_resumed.resumed_from_epoch, 2U);
+  ASSERT_EQ(auto_resumed.history.size(), 1U);
+  EXPECT_DOUBLE_EQ(reference.history.at(2).mean_loss, auto_resumed.history[0].mean_loss);
+  EXPECT_DOUBLE_EQ(reference.test_hits, auto_resumed.test_hits);
+  expect_models_bit_identical(reference, auto_resumed);
 }
 
 TEST_F(ResumeTest, ResumePastConfiguredEpochsThrows) {
