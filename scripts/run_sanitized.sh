@@ -21,6 +21,11 @@
 # (`ctest -L durability` for the whole slice) also run under TSan: torn
 # checkpoint writes and auto-resume exercise the process-global
 # StorageFaultScope and the stop/recovery handshake across worker threads.
+# The epoch-end evaluation phase runs under TSan as well (`Evaluator*`,
+# `TrainerEvalPhase*`, `NoGradScope*`): every active worker thread pulls
+# chunk tasks from one shared atomic cursor and writes disjoint score
+# slices that the next serial section reads, through a final-epoch crash
+# and a scoring failure that must leave the collectives without a hang.
 #
 # The SIMD kernel engine (`ctest -L vec`, test_vec) rides along in all
 # three: ASan/UBSan cover the intrinsics' tail handling and gather index
@@ -70,7 +75,7 @@ for sanitizer in "${sanitizers[@]}"; do
     # race report from being buried.
     TSAN_OPTIONS="halt_on_error=1" \
       ctest --test-dir "$dir" --output-on-failure \
-        -R 'Barrier|Sync|Trainer|Integration|WorkerView|ThreadPool|Sparsifier|Evaluator|PooledKernels|IoDifferentialTraining|ResumeTest|WorkerParallel|WorkerPipeline|PooledGradient|ErSolver|SparseCg|SparseLaplacian|TrainerDurability|VecTrainingMatrix|Comm|EmbeddingCache|ServingServer|ServingOracle|ServingSoak|BoundedQueue' -j
+        -R 'Barrier|Sync|Trainer|Integration|WorkerView|ThreadPool|Sparsifier|Evaluator|NoGradScope|PooledKernels|IoDifferentialTraining|ResumeTest|WorkerParallel|WorkerPipeline|PooledGradient|ErSolver|SparseCg|SparseLaplacian|TrainerDurability|VecTrainingMatrix|Comm|EmbeddingCache|ServingServer|ServingOracle|ServingSoak|BoundedQueue' -j
   else
     ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
       ctest --test-dir "$dir" --output-on-failure -j

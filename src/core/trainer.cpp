@@ -266,9 +266,11 @@ struct GlobalCorrection {
 /// One training run. Member initialization is the master's setup
 /// (partition, sparsify, build workers); run() resumes, trains with one
 /// thread per worker, and assembles the result. Each epoch a worker runs its
-/// produce/consume rounds, then the epoch-end serial section (LLCG
-/// correction, record, evaluate and early-stop, checkpoint, recover) runs on
-/// one thread while the others are blocked at the barrier.
+/// produce/consume rounds, then the epoch end: on one thread, while the
+/// others are blocked at the barrier, close_epoch (LLCG correction, record)
+/// and finish_epoch (checkpoint, recover). On an evaluation epoch they are
+/// two serial sections, and between them every active worker scores
+/// evaluation chunks; finish_epoch then records the metrics and early stop.
 class Training {
  public:
   Training(const sampling::LinkSplit& split, const graph::FeatureStore& features,
@@ -390,18 +392,20 @@ class Training {
     nn::TrainState state;
     if (config_.resume_from == "auto") {
       // Self-healing recovery: newest checkpoint in checkpoint_dir that
-      // decodes cleanly; corrupt ones are skipped epoch-by-epoch. No valid
-      // checkpoint = fresh start, not an error.
+      // decodes cleanly and fits the replicas; corrupt or unfitting ones
+      // are skipped epoch-by-epoch. No valid checkpoint = fresh start, not
+      // an error.
       if (config_.checkpoint_dir.empty()) {
         throw std::invalid_argument(
             "train_link_prediction: resume_from=\"auto\" requires checkpoint_dir");
       }
       std::uint32_t skipped = 0;
-      const auto latest =
-          nn::find_latest_valid_checkpoint(config_.checkpoint_dir, &skipped, &state);
+      const auto latest = nn::find_latest_valid_checkpoint(
+          config_.checkpoint_dir, &skipped, &state, workers_[0].replica.get(),
+          workers_[0].optimizer.get());
       result_.fault.checkpoints_skipped_invalid += skipped;
       if (skipped > 0) {
-        SPLPG_WARN << "auto-resume skipped " << skipped << " corrupt checkpoint(s) in "
+        SPLPG_WARN << "auto-resume skipped " << skipped << " unusable checkpoint(s) in "
                    << config_.checkpoint_dir;
       }
       if (!latest.has_value()) return 1;
@@ -474,7 +478,25 @@ class Training {
           if (!crashes_.park(w)) return;
           continue;
         }
-        context_.run_serial([&] { end_epoch(epoch, epoch_watch); });
+        if (evaluates(epoch)) {
+          context_.run_serial([&] {
+            close_epoch(epoch, epoch_watch);
+            eval_watch_.reset();
+            evaluation_ = evaluator_.begin(*workers_[src_].replica);
+          });
+          // The serial section just published evaluation_ (or failed before
+          // it, leaving it null); it stays put until the next section.
+          if (evaluation_) evaluator_.work(*evaluation_);
+          context_.run_serial([&] {
+            record_evaluation();
+            finish_epoch(epoch);
+          });
+        } else {
+          context_.run_serial([&] {
+            close_epoch(epoch, epoch_watch);
+            finish_epoch(epoch);
+          });
+        }
         if (stop_requested_.load()) break;  // early stop: all workers agree
       }
     } catch (...) {
@@ -611,14 +633,18 @@ class Training {
     }
   }
 
-  /// The epoch-end serial section (single thread; survivors blocked at the
-  /// barrier): LLCG correction, epoch record, optional evaluation and early
-  /// stop, checkpoint of the synchronized survivor state, crash recovery.
-  void end_epoch(std::uint32_t epoch, const util::Stopwatch& epoch_watch) {
+  [[nodiscard]] bool evaluates(std::uint32_t epoch) const {
+    return (config_.eval_every > 0 && epoch % config_.eval_every == 0) ||
+           epoch == config_.epochs;
+  }
+
+  /// Epoch-end serial section, first half: LLCG correction and the epoch
+  /// record, whose `seconds` stop here, before any evaluation.
+  void close_epoch(std::uint32_t epoch, const util::Stopwatch& epoch_watch) {
     // The replica used for correction, evaluation and checkpoints: worker 0
     // unless it crashed this epoch.
-    const std::uint32_t src = context_.first_active();
-    if (correction_) correct_globally(epoch, src);
+    src_ = context_.first_active();
+    if (correction_) correct_globally(epoch, src_);
 
     EpochRecord& record = result_.history.emplace_back();
     record.epoch = epoch;
@@ -645,27 +671,40 @@ class Training {
     const auto epochs_run = static_cast<double>(result_.history.size());
     result_.comm_gigabytes_per_epoch = result_.comm.total_gigabytes() / epochs_run;
     result_.sync_gigabytes_per_epoch = result_.comm.sync_gigabytes() / epochs_run;
+  }
 
-    if ((config_.eval_every > 0 && epoch % config_.eval_every == 0) || epoch == config_.epochs) {
-      const EvalResult eval = evaluator_.evaluate(*workers_[src].replica);
-      final_eval_worker_ = src;
-      record.val_hits = eval.val_hits;
-      record.test_hits = eval.test_hits;
-      record.test_auc = eval.test_auc;
-      result_.eval_k = eval.k;
-      ++evaluations_since_best_;
-      if (eval.val_hits > result_.best_val_hits) evaluations_since_best_ = 0;
-      if (eval.val_hits >= result_.best_val_hits) {
-        result_.best_val_hits = eval.val_hits;
-        result_.test_hits = eval.test_hits;
-        result_.test_auc = eval.test_auc;
-      }
-      if (config_.patience > 0 && evaluations_since_best_ >= config_.patience) {
-        stop_requested_.store(true);
-      }
+  /// Second serial section of an evaluation epoch: the metrics of the
+  /// evaluation every active worker just scored, and early stop. An
+  /// evaluation whose scoring threw records nothing: the worker that caught
+  /// the exception has left the collectives and stopped the run.
+  void record_evaluation() {
+    const std::unique_ptr<Evaluation> evaluation = std::move(evaluation_);
+    if (!evaluation || evaluation->failed()) return;
+    const EvalResult eval = evaluation->result();
+    EpochRecord& record = result_.history.back();
+    final_eval_worker_ = src_;
+    record.val_hits = eval.val_hits;
+    record.test_hits = eval.test_hits;
+    record.test_auc = eval.test_auc;
+    record.eval_seconds = eval_watch_.seconds();
+    result_.eval_k = eval.k;
+    ++evaluations_since_best_;
+    if (eval.val_hits > result_.best_val_hits) evaluations_since_best_ = 0;
+    if (eval.val_hits >= result_.best_val_hits) {
+      result_.best_val_hits = eval.val_hits;
+      result_.test_hits = eval.test_hits;
+      result_.test_auc = eval.test_auc;
     }
+    if (config_.patience > 0 && evaluations_since_best_ >= config_.patience) {
+      stop_requested_.store(true);
+    }
+  }
+
+  /// Epoch-end serial section, last part: checkpoint of the synchronized
+  /// survivor state, crash recovery.
+  void finish_epoch(std::uint32_t epoch) {
     if (config_.checkpoint_every > 0 && epoch % config_.checkpoint_every == 0) {
-      write_checkpoint(src, epoch);
+      write_checkpoint(src_, epoch);
     }
 
     // Recovery: a worker that left the collectives crashed this epoch (one
@@ -675,7 +714,7 @@ class Training {
     const bool final_epoch = epoch >= config_.epochs || stop_requested_.load();
     for (std::uint32_t w = 0; w < num_workers_; ++w) {
       if (context_.is_active(w)) continue;
-      restore(workers_[w], checkpoint_buffer_, workers_[src], config_.learning_rate);
+      restore(workers_[w], checkpoint_buffer_, workers_[src_], config_.learning_rate);
       if (final_epoch) continue;
       crashes_.respawn(w);
       ++result_.fault.recoveries;
@@ -713,6 +752,10 @@ class Training {
   const sampling::NeighborSampler sampler_{fanouts_};
   const Evaluator evaluator_{split_, features_, fanouts_, config_.eval_k, 512, 7,
                              config_.num_threads};
+  // The evaluation being scored between an evaluation epoch's two serial
+  // sections, and its wall clock. Written only in serial sections.
+  std::unique_ptr<Evaluation> evaluation_;
+  util::Stopwatch eval_watch_;
   const std::unique_ptr<GlobalCorrection> correction_ =  // LLCG only
       uses_global_correction(config_.method)
           ? std::make_unique<GlobalCorrection>(split_, features_, config_.batch_size)
@@ -728,6 +771,9 @@ class Training {
   std::string checkpoint_buffer_;
   std::atomic<bool> stop_requested_{false};
   std::uint32_t evaluations_since_best_ = 0;  // serial-section only
+  // The replica this epoch end corrects, evaluates and checkpoints; set by
+  // close_epoch (serial-section only).
+  std::uint32_t src_ = 0;
   // Which replica the most recent evaluation scored (serial-section only,
   // read by the master after join). After a worker-0 crash the survivors'
   // replica and a checkpoint-restored worker 0 can disagree, so the

@@ -124,9 +124,11 @@ struct TrainConfig {
 
   /// Master-side ThreadPool width for the preprocessing and evaluation hot
   /// paths (partition sparsification, evaluation batch scoring). 1 = serial
-  /// (default), 0 = hardware concurrency, N = N pool threads. Results are
-  /// bit-identical at every setting; worker-thread count is always
-  /// `num_partitions` and unaffected by this knob.
+  /// (default), 0 = hardware concurrency, N = N pool threads. The epoch-end
+  /// evaluation is scored by every active worker thread in any case; the
+  /// evaluator's pool threads, when there are any, pull its chunks too.
+  /// Results are bit-identical at every setting; worker-thread count is
+  /// always `num_partitions` and unaffected by this knob.
   std::size_t num_threads = 1;
 
   /// Worker-side ThreadPool width for the per-batch hot paths: chunk-parallel
@@ -155,7 +157,8 @@ struct EpochRecord {
   double val_hits = -1.0;       // -1 when not evaluated this epoch
   double test_hits = -1.0;
   double test_auc = -1.0;
-  double seconds = 0.0;
+  double seconds = 0.0;       // the epoch's rounds and record; excludes the evaluation
+  double eval_seconds = 0.0;  // the epoch's evaluation wall time; 0 when not evaluated
 };
 
 struct TrainResult {

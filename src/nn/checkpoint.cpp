@@ -224,16 +224,20 @@ std::uint32_t validate_train_state_file(const std::string& path) {
 
 std::optional<CheckpointEntry> find_latest_valid_checkpoint(const std::string& dir,
                                                             std::uint32_t* skipped,
-                                                            TrainState* state) {
+                                                            TrainState* state,
+                                                            const Module* module,
+                                                            const Optimizer* optimizer) {
   if (skipped != nullptr) *skipped = 0;
   for (const auto& entry : list_checkpoints(dir)) {
     try {
       TrainState decoded = decode_train_state_file(entry.state_file);
+      if (module != nullptr) check_parameter_shapes(decoded.parameters, *module);
+      if (optimizer != nullptr) optimizer->check_state(decoded.optimizer);
       if (state != nullptr) *state = std::move(decoded);
       return entry;
     } catch (const std::exception&) {
-      // Corrupt, truncated, or unreadable: recovery falls back to the next
-      // older checkpoint instead of dying on the newest one.
+      // Corrupt, truncated, unreadable or unfitting: recovery falls back to
+      // the next older checkpoint instead of dying on the newest one.
       if (skipped != nullptr) ++*skipped;
     }
   }

@@ -30,8 +30,9 @@
 // file names the retained epochs (advisory — the directory scan is ground
 // truth, so a corrupt manifest never blocks recovery), and
 // find_latest_valid_checkpoint powers `resume_from = "auto"`: the newest
-// state file that decodes cleanly, skipping corrupt ones. Each candidate is
-// read once, and the chosen one's decoded state is what the trainer applies.
+// state file that decodes cleanly and fits the run's module and optimizer,
+// skipping corrupt or unfitting ones. Each candidate is read once, and the
+// chosen one's decoded state is what the trainer applies.
 #pragma once
 
 #include <cstdint>
@@ -111,12 +112,17 @@ struct CheckpointEntry {
 /// epoch, or throws io::FormatError / io::IoError on any defect.
 std::uint32_t validate_train_state_file(const std::string& path);
 
-/// The newest checkpoint in `dir` whose state file decodes. Corrupt or
-/// truncated checkpoints are skipped (counted into *skipped when non-null);
-/// nullopt when none decodes. Each candidate is read once; the chosen one's
-/// decoded state goes to *state when non-null.
+/// The newest checkpoint in `dir` whose state file decodes and, when
+/// `module` and `optimizer` are given, fits them (apply_train_state's count
+/// and shape checks, without the writes): a state cut right after its
+/// parameters decodes as one without an optimizer section, which an Adam
+/// run cannot resume from. Corrupt, truncated or unfitting checkpoints are
+/// skipped (counted into *skipped when non-null); nullopt when none is left.
+/// Each candidate is read once; the chosen one's decoded state goes to
+/// *state when non-null.
 [[nodiscard]] std::optional<CheckpointEntry> find_latest_valid_checkpoint(
-    const std::string& dir, std::uint32_t* skipped = nullptr, TrainState* state = nullptr);
+    const std::string& dir, std::uint32_t* skipped = nullptr, TrainState* state = nullptr,
+    const Module* module = nullptr, const Optimizer* optimizer = nullptr);
 
 /// Rewrites `dir`/MANIFEST (atomically) to name the checkpoints currently on
 /// disk. The manifest is advisory — recovery always re-scans the directory —

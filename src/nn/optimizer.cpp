@@ -42,7 +42,7 @@ OptimizerState decode_optimizer_state(std::istream& in) {
 
 void Optimizer::save_state(std::ostream& out) const { (void)out; }
 
-void Optimizer::apply_state(const OptimizerState& state) {
+void Optimizer::check_state(const OptimizerState& state) const {
   if (state.present) {
     throw std::invalid_argument("Optimizer::load_state: a stateless optimizer got a state");
   }
@@ -95,7 +95,7 @@ void Adam::save_state(std::ostream& out) const {
   if (!out) throw std::runtime_error("Adam::save_state: write failed");
 }
 
-void Adam::apply_state(const OptimizerState& state) {
+void Adam::check_state(const OptimizerState& state) const {
   if (!state.present || state.moments.size() != 2 * m_.size()) {
     throw std::invalid_argument("Adam::load_state: moment count mismatch");
   }
@@ -104,6 +104,10 @@ void Adam::apply_state(const OptimizerState& state) {
       throw std::invalid_argument("Adam::load_state: moment shape mismatch");
     }
   }
+}
+
+void Adam::apply_state(const OptimizerState& state) {
+  check_state(state);
   for (std::size_t i = 0; i < m_.size(); ++i) {
     m_[i] = state.moments[2 * i];
     v_[i] = state.moments[2 * i + 1];

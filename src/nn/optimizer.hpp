@@ -41,10 +41,11 @@ class Optimizer {
   /// the exact-resume contract nn::save_train_state builds on. Stateless
   /// optimizers (SGD) write nothing.
   virtual void save_state(std::ostream& out) const;
-  /// Checks `state` against this optimizer's parameters, then adopts it.
-  /// Throws std::invalid_argument on a count or shape mismatch, having
-  /// changed nothing.
-  virtual void apply_state(const OptimizerState& state);
+  /// Throws std::invalid_argument unless `state` fits this optimizer's
+  /// parameters in count and shape. Changes nothing.
+  virtual void check_state(const OptimizerState& state) const;
+  /// check_state, then adopts `state`.
+  virtual void apply_state(const OptimizerState& state) { check_state(state); }
   /// apply_state(decode_optimizer_state(in)); format errors throw
   /// io::FormatError.
   void load_state(std::istream& in) { apply_state(decode_optimizer_state(in)); }
@@ -77,6 +78,7 @@ class Adam final : public Optimizer {
   void step() override;
 
   void save_state(std::ostream& out) const override;
+  void check_state(const OptimizerState& state) const override;
   void apply_state(const OptimizerState& state) override;
 
  private:

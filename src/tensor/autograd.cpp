@@ -37,7 +37,15 @@ EdgeGroups group_edges(std::span<const std::uint32_t> keys, std::size_t num_keys
   return groups;
 }
 
+thread_local bool tape_enabled = true;
+
 }  // namespace
+
+NoGradScope::NoGradScope() noexcept : previous_(tape_enabled) { tape_enabled = false; }
+
+NoGradScope::~NoGradScope() { tape_enabled = previous_; }
+
+bool grad_enabled() noexcept { return tape_enabled; }
 
 namespace detail {
 
@@ -69,6 +77,7 @@ Tensor make_op(Matrix value, std::vector<Tensor> parents,
   auto node = std::make_shared<Node>();
   node->value = std::move(value);
   node->requires_grad = false;
+  if (!tape_enabled) return Tensor(std::move(node));
   for (const auto& parent : parents) {
     if (parent.defined()) {
       node->parents.push_back(parent.node_);

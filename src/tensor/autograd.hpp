@@ -7,6 +7,10 @@
 // runs each node's backward closure, accumulating gradients into
 // requires-grad leaves (the model parameters).
 //
+// Under a NoGradScope ops record no tape: each result holds its value only,
+// so a forward-only pass (evaluation, serving) frees every intermediate as
+// soon as the next op has consumed it.
+//
 // The op set is exactly what the GNN stack needs, including the three
 // graph-specific primitives:
 //   * gather_rows      — build a mini-batch's input rows / pick edge endpoints
@@ -79,9 +83,29 @@ class Tensor {
   std::shared_ptr<detail::Node> node_;
 };
 
-/// Internal: creates an op node; exposed for extension ops in tests.
+/// Internal: creates an op node; exposed for extension ops in tests. Under
+/// a NoGradScope the node keeps neither `parents` nor `backward_fn`.
 [[nodiscard]] Tensor make_op(Matrix value, std::vector<Tensor> parents,
                              std::function<void(detail::Node&)> backward_fn);
+
+/// RAII: while alive, ops built on the calling thread record no tape (no
+/// parents, no backward closure, requires_grad() false). Values are
+/// bit-identical to taped ones. Thread-local, so concurrent forward passes
+/// on other threads keep their own setting; nesting is allowed.
+class NoGradScope {
+ public:
+  NoGradScope() noexcept;
+  ~NoGradScope();
+
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+ private:
+  bool previous_;
+};
+
+/// False while a NoGradScope is alive on the calling thread.
+[[nodiscard]] bool grad_enabled() noexcept;
 
 // ---- arithmetic ----
 

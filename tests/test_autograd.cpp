@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <thread>
 
 #include "tensor/autograd.hpp"
 #include "tensor/init.hpp"
@@ -351,6 +353,86 @@ TEST(Autograd, CompositeExpressionGradCheck) {
   auto loss_fn = [&] { return bce_with_logits(matmul(relu(matmul(x, w1)), w2), labels); };
   check_gradient(w1, loss_fn);
   check_gradient(w2, loss_fn);
+}
+
+// ---- NoGradScope: the same values, no tape ----
+
+/// A forward pass over the op kinds a GNN encoder and predictor use; each
+/// intermediate is appended to `out`.
+void forward_all_ops(const Tensor& w, const Tensor& bias, const Tensor& x,
+                     std::vector<Tensor>& out) {
+  const std::vector<std::uint32_t> rows = {0, 2, 1, 2};
+  const std::vector<std::uint32_t> src = {0, 1, 2, 3, 1};
+  const std::vector<std::uint32_t> dst = {0, 0, 1, 1, 2};
+  const std::vector<float> labels = {1, 0, 1};
+  out.push_back(gather_rows(x, rows));                                  // 4x4
+  out.push_back(add(matmul(out.back(), w), bias));                      // 4x3
+  const Tensor h = out.back();
+  out.push_back(gather_rows(slice_cols(h, 0, 1), src));                 // 5x1
+  out.push_back(segment_softmax(leaky_relu(out.back()), dst, 3));       // 5x1
+  out.push_back(relu(spmm_edges(h, out.back(), src, dst, 3)));          // 3x3
+  out.push_back(tanh_op(scale(concat_cols(out.back(), out.back()), 0.5F)));  // 3x6
+  out.push_back(sigmoid(rowwise_dot(out.back(), mul(out.back(), out.back()))));  // 3x1
+  out.push_back(bce_with_logits(out.back(), labels));                  // 1x1
+}
+
+void expect_same_bytes(const Matrix& a, const Matrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(float)), 0);
+}
+
+TEST(NoGradScope, ValuesBitIdenticalAndNoTapeRecorded) {
+  Rng rng(31);
+  const Tensor w = Tensor::parameter(random_matrix(4, 3, rng));
+  const Tensor bias = Tensor::parameter(random_matrix(1, 3, rng));
+  const Tensor x = Tensor::parameter(random_matrix(3, 4, rng));
+
+  std::vector<Tensor> taped;
+  forward_all_ops(w, bias, x, taped);
+  std::vector<Tensor> untaped;
+  {
+    const NoGradScope scope;
+    EXPECT_FALSE(grad_enabled());
+    forward_all_ops(w, bias, x, untaped);
+  }
+  EXPECT_TRUE(grad_enabled());
+  ASSERT_EQ(taped.size(), untaped.size());
+  for (std::size_t i = 0; i < taped.size(); ++i) {
+    SCOPED_TRACE("op " + std::to_string(i));
+    expect_same_bytes(taped[i].value(), untaped[i].value());
+    EXPECT_TRUE(taped[i].requires_grad());
+    EXPECT_FALSE(taped[i].node_ref().parents.empty());
+    EXPECT_FALSE(untaped[i].requires_grad());
+    EXPECT_TRUE(untaped[i].node_ref().parents.empty());
+    EXPECT_FALSE(static_cast<bool>(untaped[i].node_ref().backward_fn));
+  }
+
+  // After the scope ends, ops record a tape again and backward reaches w.
+  Tensor loss = mean_all(matmul(x, w));
+  EXPECT_TRUE(loss.requires_grad());
+  EXPECT_FALSE(loss.node_ref().parents.empty());
+  loss.backward();
+  EXPECT_FALSE(w.grad().empty());
+}
+
+TEST(NoGradScope, NestsAndStaysOnItsThread) {
+  Rng rng(32);
+  const Tensor w = Tensor::parameter(random_matrix(2, 2, rng));
+  {
+    const NoGradScope outer;
+    {
+      const NoGradScope inner;
+      EXPECT_FALSE(grad_enabled());
+    }
+    EXPECT_FALSE(grad_enabled());  // the inner scope restores the outer one
+    bool other_thread_taped = false;
+    std::thread other([&] { other_thread_taped = relu(w).requires_grad(); });
+    other.join();
+    EXPECT_TRUE(other_thread_taped);
+    EXPECT_FALSE(relu(w).requires_grad());
+  }
+  EXPECT_TRUE(relu(w).requires_grad());
 }
 
 }  // namespace

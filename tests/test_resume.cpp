@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <sstream>
 #include <string>
 
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
 #include "io/storage_fault.hpp"
+#include "nn/checkpoint.hpp"
 #include "sampling/edge_split.hpp"
 #include "tensor/matrix.hpp"
 
@@ -200,6 +202,37 @@ TEST_F(ResumeTest, ResumeReadsTheStateFileOnce) {
   EXPECT_DOUBLE_EQ(reference.history.at(2).mean_loss, auto_resumed.history[0].mean_loss);
   EXPECT_DOUBLE_EQ(reference.test_hits, auto_resumed.test_hits);
   expect_models_bit_identical(reference, auto_resumed);
+}
+
+TEST_F(ResumeTest, AutoResumeSkipsAStateCutAfterItsParameters) {
+  // A state file cut exactly at the end of its parameter section decodes as
+  // a state without an optimizer section. Auto-resume must check it against
+  // the run's Adam and fall back to the older checkpoint, not pick it and
+  // then throw a moment count mismatch.
+  const TrainResult reference = run(base_config(Method::kSplpg, 3));
+  auto first_two = base_config(Method::kSplpg, 2);
+  first_two.checkpoint_every = 1;
+  first_two.checkpoint_dir = dir_.string();
+  const TrainResult first = run(first_two);
+
+  std::ostringstream parameters;
+  nn::save_parameters(parameters, *first.model);
+  constexpr std::size_t kStateHeaderBytes = 16;  // magic, version, epoch, CRC
+  fs::resize_file(state_path(2), kStateHeaderBytes + parameters.str().size());
+  ASSERT_FALSE(nn::decode_train_state_file(state_path(2)).optimizer.present);
+
+  auto rest = base_config(Method::kSplpg, 3);
+  rest.checkpoint_dir = dir_.string();
+  rest.resume_from = "auto";
+  const TrainResult resumed = run(rest);
+  EXPECT_EQ(resumed.resumed_from_epoch, 1U);
+  EXPECT_EQ(resumed.fault.checkpoints_skipped_invalid, 1U);
+  ASSERT_EQ(resumed.history.size(), 2U);
+  for (const auto& record : resumed.history) {
+    EXPECT_DOUBLE_EQ(reference.history.at(record.epoch - 1).mean_loss, record.mean_loss)
+        << "epoch " << record.epoch;
+  }
+  expect_models_bit_identical(reference, resumed);
 }
 
 TEST_F(ResumeTest, ResumePastConfiguredEpochsThrows) {

@@ -3,9 +3,13 @@
 // qualitative claims at miniature scale.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <thread>
 
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
@@ -434,6 +438,153 @@ TEST(Evaluator, ParallelScoringBitIdenticalToSerial) {
   EXPECT_DOUBLE_EQ(a.test_hits, b.test_hits);
   EXPECT_DOUBLE_EQ(a.val_auc, b.val_auc);
   EXPECT_DOUBLE_EQ(a.test_auc, b.test_auc);
+}
+
+// ---- the evaluation as chunk tasks pulled by any number of threads ----
+
+nn::LinkPredictionModel eval_model() {
+  nn::ModelConfig model_config;
+  model_config.in_dim = problem().dataset.features.dim();
+  model_config.hidden_dim = 16;
+  model_config.num_layers = 2;
+  return nn::LinkPredictionModel(model_config, 5);
+}
+
+/// Calls evaluation.work() on `threads` threads at once.
+void pull(Evaluation& evaluation, std::size_t threads) {
+  std::vector<std::thread> pullers;
+  for (std::size_t t = 0; t < threads; ++t) pullers.emplace_back([&] { evaluation.work(); });
+  for (auto& puller : pullers) puller.join();
+}
+
+void expect_same_scores(const std::vector<float>& a, const std::vector<float>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+}
+
+void expect_same_result(const EvalResult& a, const EvalResult& b) {
+  EXPECT_EQ(a.k, b.k);
+  EXPECT_DOUBLE_EQ(a.val_hits, b.val_hits);
+  EXPECT_DOUBLE_EQ(a.test_hits, b.test_hits);
+  EXPECT_DOUBLE_EQ(a.val_auc, b.val_auc);
+  EXPECT_DOUBLE_EQ(a.test_auc, b.test_auc);
+}
+
+TEST(Evaluator, ChunkTasksPulledByAnyThreadCountMatchSerialScoring) {
+  const auto model = eval_model();
+  const auto fanouts = model.default_fanouts();
+  // Small chunks: every pair list spans several tasks.
+  const Evaluator serial(problem().split, problem().dataset.features, fanouts, 0, 64, 7, 1);
+  const Evaluator pooled(problem().split, problem().dataset.features, fanouts, 0, 64, 7, 4);
+  const auto& split = problem().split;
+  auto to_pairs = [](const std::vector<graph::Edge>& edges) {
+    std::vector<sampling::NodePair> pairs;
+    for (const auto& [u, v] : edges) pairs.push_back({u, v});
+    return pairs;
+  };
+  const std::vector<std::vector<sampling::NodePair>> lists = {
+      to_pairs(split.val_pos), split.val_neg, to_pairs(split.test_pos), split.test_neg};
+  std::vector<std::vector<float>> reference;
+  for (const auto& list : lists) reference.push_back(serial.score_pairs(model, list));
+  const EvalResult expected = serial.evaluate(model);
+  expect_same_result(expected, pooled.evaluate(model));
+
+  for (const std::size_t threads : {1U, 2U, 3U, 7U}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const auto evaluation = serial.begin(model);
+    pull(*evaluation, threads);
+    ASSERT_FALSE(evaluation->failed());
+    for (std::size_t list = 0; list < lists.size(); ++list) {
+      expect_same_scores(evaluation->scores(list), reference[list]);
+    }
+    expect_same_result(evaluation->result(), expected);
+
+    // The pooled evaluator's threads and the calling threads pull together.
+    const auto shared = pooled.begin(model);
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < threads; ++t) callers.emplace_back([&] { pooled.work(*shared); });
+    for (auto& caller : callers) caller.join();
+    expect_same_result(shared->result(), expected);
+  }
+}
+
+TEST(Evaluator, FailedTaskAbandonsTheRestAndYieldsNoResult) {
+  const auto model = eval_model();
+  sampling::LinkSplit split = problem().split;
+  // A validation negative naming a node outside the training graph, in the
+  // second of val_neg's chunks.
+  ASSERT_GT(split.val_neg.size(), 70U);
+  split.val_neg[70] = {split.train_graph.num_nodes(), 0};
+  const Evaluator evaluator(split, problem().dataset.features, model.default_fanouts(), 0, 64);
+
+  EXPECT_THROW((void)evaluator.evaluate(model), std::out_of_range);
+  const auto evaluation = evaluator.begin(model);
+  std::atomic<int> threw{0};
+  std::vector<std::thread> pullers;
+  for (int t = 0; t < 3; ++t) {
+    pullers.emplace_back([&] {
+      try {
+        evaluation->work();
+      } catch (const std::out_of_range&) {
+        ++threw;
+      }
+    });
+  }
+  for (auto& puller : pullers) puller.join();
+  EXPECT_EQ(threw.load(), 1);  // only the thread that scored the bad chunk
+  EXPECT_TRUE(evaluation->failed());
+  EXPECT_THROW((void)evaluation->result(), std::logic_error);
+}
+
+// ---- the epoch-end evaluation phase under crashes and failures ----
+
+TEST(TrainerEvalPhase, EvalSecondsOnlyOnEvaluatedEpochs) {
+  auto config = base_config(Method::kSplpg, 3);
+  config.eval_every = 2;
+  const TrainResult result = train_link_prediction(problem().split, problem().dataset.features,
+                                                   config);
+  ASSERT_EQ(result.history.size(), 3U);
+  EXPECT_EQ(result.history[0].eval_seconds, 0.0);  // epoch 1: no evaluation
+  EXPECT_GT(result.history[1].eval_seconds, 0.0);  // epoch 2: eval_every
+  EXPECT_GT(result.history[2].eval_seconds, 0.0);  // epoch 3: the final one
+}
+
+TEST(TrainerEvalPhase, SurvivorsOfAFinalEpochCrashScoreTheEvaluation) {
+  // Worker 2 crashes at the start of the final epoch and stays parked: the
+  // three survivors score the evaluation without it.
+  auto config = base_config(Method::kSplpg, 2);
+  config.faults.crashes = {{2, 2, 0}};
+  const TrainResult result = train_link_prediction(problem().split, problem().dataset.features,
+                                                   config);
+  EXPECT_EQ(result.fault.crashes, 1U);
+  EXPECT_EQ(result.fault.recoveries, 0U);  // training was over: no respawn
+  ASSERT_EQ(result.history.size(), 2U);
+  EXPECT_GT(result.history[1].eval_seconds, 0.0);
+
+  // The survivors' scores equal an evaluation of the same model that no
+  // crash or worker thread touched: the standalone serial Evaluator.
+  const Evaluator evaluator(problem().split, problem().dataset.features,
+                            result.model->default_fanouts(), config.eval_k);
+  const EvalResult eval = evaluator.evaluate(*result.model);
+  EXPECT_DOUBLE_EQ(eval.val_hits, result.history[1].val_hits);
+  EXPECT_DOUBLE_EQ(eval.test_hits, result.history[1].test_hits);
+  EXPECT_DOUBLE_EQ(eval.test_auc, result.history[1].test_auc);
+}
+
+TEST(TrainerEvalPhase, ScoringFailureLeavesTheCollectivesAndRethrows) {
+  // One bad validation pair: the worker that scores its chunk throws, leaves
+  // the collectives and stops the run; the survivors finish the epoch end
+  // without recording the evaluation, and the run rethrows the error.
+  sampling::LinkSplit split = problem().split;
+  split.val_neg.front() = {split.train_graph.num_nodes(), 0};
+  for (const bool pooled : {false, true}) {
+    SCOPED_TRACE(pooled ? "pooled evaluator" : "workers only");
+    auto config = base_config(Method::kSplpg, 2);
+    config.eval_every = 1;
+    config.num_threads = pooled ? 2 : 1;
+    EXPECT_THROW((void)train_link_prediction(split, problem().dataset.features, config),
+                 std::out_of_range);
+  }
 }
 
 }  // namespace
